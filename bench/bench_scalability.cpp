@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <random>
+
 #include "alloc/allocator.hpp"
 #include "engine/engine.hpp"
 #include "workloads/random_gen.hpp"
@@ -80,6 +82,33 @@ BENCHMARK(BM_BuildFlowGraphOnly)
     ->Range(16, 1024)
     ->Complexity()
     ->Unit(benchmark::kMillisecond);
+
+// Switching-activity measurement alone: ActivityMatrix::from_trace over
+// S = 32 samples of n 16-bit variables (the engine's default trace of
+// uniform 16-bit inputs), at the DSP suite's block sizes: n = 16 (small
+// kernels), 144 and 368 (FFT-16, the largest block).
+void BM_ActivityFromTrace(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSamples = 32;
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<std::int64_t> dist(-32768, 32767);
+  std::vector<std::vector<std::int64_t>> trace(
+      kSamples, std::vector<std::int64_t>(n));
+  for (auto& sample : trace) {
+    for (auto& v : sample) v = dist(rng);
+  }
+  const std::vector<int> widths(n, 16);
+  for (auto _ : state) {
+    energy::ActivityMatrix m =
+        energy::ActivityMatrix::from_trace(trace, widths);
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_ActivityFromTrace)
+    ->Arg(16)
+    ->Arg(144)
+    ->Arg(368)
+    ->Unit(benchmark::kMicrosecond);
 
 // Parallel engine scalability: a fixed batch of independent instances
 // through engine::Engine::allocate_batch, swept over the thread count.

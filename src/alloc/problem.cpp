@@ -79,6 +79,34 @@ AllocationProblem make_problem(std::vector<lifetime::Lifetime> lifetimes,
   return p;
 }
 
+namespace {
+
+/// Activities measured by evaluating \p bb on every input row, with the
+/// per-ValueId trace projected onto the allocation variables.
+energy::ActivityMatrix measure_activity(
+    const ir::BasicBlock& bb,
+    const std::vector<lifetime::Lifetime>& lifetimes,
+    const std::vector<std::vector<std::int64_t>>& trace_inputs) {
+  std::vector<int> widths;
+  widths.reserve(lifetimes.size());
+  for (const lifetime::Lifetime& lt : lifetimes) {
+    widths.push_back(lt.width);
+  }
+  std::vector<std::vector<std::int64_t>> var_trace;
+  var_trace.reserve(trace_inputs.size());
+  for (const std::vector<std::int64_t>& inputs : trace_inputs) {
+    const std::vector<std::int64_t> values = ir::evaluate(bb, inputs);
+    std::vector<std::int64_t>& row = var_trace.emplace_back();
+    row.reserve(lifetimes.size());
+    for (const lifetime::Lifetime& lt : lifetimes) {
+      row.push_back(values[static_cast<std::size_t>(lt.value)]);
+    }
+  }
+  return energy::ActivityMatrix::from_trace(var_trace, widths);
+}
+
+}  // namespace
+
 AllocationProblem make_problem_from_block(
     const ir::BasicBlock& bb, const sched::Schedule& sched,
     int num_registers, const energy::EnergyParams& params,
@@ -88,25 +116,10 @@ AllocationProblem make_problem_from_block(
   std::vector<lifetime::Lifetime> lifetimes =
       lifetime::analyze(bb, sched, lifetime_opts);
 
-  energy::ActivityMatrix activity(lifetimes.size());
-  if (!trace_inputs.empty()) {
-    const auto full_trace = ir::evaluate_trace(bb, trace_inputs);
-    // Project the per-ValueId trace onto the allocation variables.
-    std::vector<std::vector<std::int64_t>> var_trace(full_trace.size());
-    std::vector<int> widths;
-    widths.reserve(lifetimes.size());
-    for (const lifetime::Lifetime& lt : lifetimes) {
-      widths.push_back(lt.width);
-    }
-    for (std::size_t s = 0; s < full_trace.size(); ++s) {
-      var_trace[s].reserve(lifetimes.size());
-      for (const lifetime::Lifetime& lt : lifetimes) {
-        var_trace[s].push_back(
-            full_trace[s][static_cast<std::size_t>(lt.value)]);
-      }
-    }
-    activity = energy::ActivityMatrix::from_trace(var_trace, widths);
-  }
+  energy::ActivityMatrix activity =
+      trace_inputs.empty()
+          ? energy::ActivityMatrix(lifetimes.size())
+          : measure_activity(bb, lifetimes, trace_inputs);
 
   return make_problem(std::move(lifetimes), sched.length(bb), num_registers,
                       params, std::move(activity), split);

@@ -49,9 +49,14 @@ class ActivityMatrix {
   double uniform_initial() const { return initial_h_; }
 
   /// Measures activities from a value trace: \p trace[s][i] is variable
-  /// i's value in sample s, \p widths[i] its bit width. H(i,j) is the
-  /// mean Hamming distance fraction across samples; initial(i) the mean
-  /// weight of i's own bits (register assumed cleared beforehand).
+  /// i's value in sample s, \p widths[i] its bit width, in [1, 64]. H(i,j)
+  /// is the mean over samples of hamming_fraction(trace[s][i],
+  /// trace[s][j], max(widths[i], widths[j])), summed in sample order and
+  /// divided by S; initial(i) the same against 0 at widths[i] (register
+  /// assumed cleared beforehand). The result, is_uniform() included, is
+  /// bit-identical to that per-sample loop, at a cost of
+  /// O(n^2 * ceil(S / slots)) word operations over a bit-packed trace
+  /// (slots = 64 / bit_ceil(widest width) samples per 64-bit word).
   static ActivityMatrix from_trace(
       const std::vector<std::vector<std::int64_t>>& trace,
       const std::vector<int>& widths);

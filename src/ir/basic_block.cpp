@@ -1,12 +1,16 @@
 #include "ir/basic_block.hpp"
 
 #include <algorithm>
-
 #include <sstream>
+#include <stdexcept>
 
 namespace lera::ir {
 
 ValueId BasicBlock::new_value(std::string name, int width) {
+  if (width < 1 || width > 64) {
+    throw std::invalid_argument("value width " + std::to_string(width) +
+                                " outside [1, 64]");
+  }
   if (name.empty()) {
     name = "v" + std::to_string(anon_counter_++);
   }
@@ -50,13 +54,13 @@ ValueId BasicBlock::emit(Opcode opcode, const std::vector<ValueId>& operands,
   assert(!is_source(opcode) && opcode != Opcode::kOutput);
   assert(static_cast<int>(operands.size()) == arity(opcode));
   const OpId oid = static_cast<OpId>(ops_.size());
+  // The result first: new_value may throw, and must leave no use behind.
+  const ValueId result = new_value(std::move(result_name), width);
   for (ValueId operand : operands) {
-    assert(operand >= 0 &&
-           static_cast<std::size_t>(operand) < values_.size() &&
+    assert(operand >= 0 && operand < result &&
            "operand must be defined before use");
     values_[static_cast<std::size_t>(operand)].uses.push_back(oid);
   }
-  const ValueId result = new_value(std::move(result_name), width);
   Operation op;
   op.id = oid;
   op.opcode = opcode;

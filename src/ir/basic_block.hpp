@@ -38,7 +38,8 @@ struct Operation {
   ValueId result = kNoValue;  ///< kNoValue for kOutput.
 };
 
-/// Owning container + builder for a basic block.
+/// Owning container + builder for a basic block. Value widths must lie
+/// in [1, 64]; the builders throw std::invalid_argument otherwise.
 class BasicBlock {
  public:
   explicit BasicBlock(std::string name = "bb") : name_(std::move(name)) {}

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/basic_block.hpp"
@@ -26,10 +27,11 @@ std::vector<std::vector<std::int64_t>> evaluate_trace(
     const std::vector<std::vector<std::int64_t>>& input_samples);
 
 /// Applies one operation to already-evaluated operands, reducing the
-/// result to \p width bits (two's complement). Shared by the IR
-/// interpreter and the codegen machine model so both agree bit-exactly.
+/// result to \p width bits (two's complement), \p width in [1, 64].
+/// Arithmetic wraps modulo 2^64 before the reduction, so no operand
+/// value overflows. Shared by the IR interpreter and the codegen machine
+/// model so both agree bit-exactly.
 std::int64_t apply_opcode(Opcode opcode,
-                          const std::vector<std::int64_t>& operands,
-                          int width);
+                          std::span<const std::int64_t> operands, int width);
 
 }  // namespace lera::ir

@@ -903,5 +903,81 @@ TEST(Engine, LegacyOptionStructsAreTheEngineOptionCore) {
   EXPECT_EQ(engine.threads(), 2);
 }
 
+
+TEST(Engine, DspSuiteReportPinnedToRecordedValues) {
+  // Per-task energies and memory layouts of one activity-model run over
+  // the whole DSP suite, recorded before the packed activity kernel and
+  // the allocation-free evaluator replaced the per-sample loops. Both
+  // are exact rewrites, so every figure must repeat bit for bit.
+  struct Expected {
+    const char* name;
+    double energy;
+    int locations;
+    double optimized_activity;
+    double optimized_energy;
+    std::uint64_t address_hash;  ///< FNV-1a over layout.address.
+  };
+  const Expected expected[] = {
+      {"fir", 14.25, 0, 0, 0, 0x8d33928e28fb1033ull},
+      {"iir", 10.69140625, 0, 0, 0, 0x965aee0a5f747002ull},
+      {"ewf", 29.265625, 0, 0, 0, 0x031033c378f70d69ull},
+      {"fft8", 887.40234375, 19, 23.82421875, 190.59375, 0xa4b3a8eb701f3c4eull},
+      {"fft16", 2649.375, 44, 70.326171875, 562.609375, 0x3334c4e4aea998bfull},
+      {"dct", 16.91796875, 0, 0, 0, 0xfcfb972273b7470bull},
+      {"matmul", 359.546875, 14, 8.78125, 70.25, 0xc51e0ed2183cd38aull},
+      {"conv", 32.3359375, 1, 0.5390625, 4.3125, 0x70614d2d05da0115ull},
+      {"lattice", 200.09765625, 10, 4.994140625, 39.953125,
+       0xd5ddf681e6ffef05ull},
+      {"lms", 245.36328125, 11, 6.00390625, 48.03125, 0xa7f92cd2666a59a3ull},
+      {"viterbi", 13.8515625, 0, 0, 0, 0xe43e200d63f9403full},
+      {"goertzel", 97.234375, 4, 2.052734375, 16.421875, 0x8f64702198b98bd1ull},
+      {"rsp", 390.453125, 21, 10.390625, 83.125, 0xa7d0a0b90b8100b5ull},
+  };
+  std::vector<std::pair<std::string, ir::BasicBlock>> kernels;
+  kernels.emplace_back("fir", workloads::make_fir(8));
+  kernels.emplace_back("iir", workloads::make_iir_biquad());
+  kernels.emplace_back("ewf", workloads::make_elliptic_wave_filter());
+  kernels.emplace_back("fft8", workloads::make_fft(8));
+  kernels.emplace_back("fft16", workloads::make_fft(16));
+  kernels.emplace_back("dct", workloads::make_dct4());
+  kernels.emplace_back("matmul", workloads::make_matmul(3));
+  kernels.emplace_back("conv", workloads::make_conv3x3());
+  kernels.emplace_back("lattice", workloads::make_lattice(6));
+  kernels.emplace_back("lms", workloads::make_lms(8));
+  kernels.emplace_back("viterbi", workloads::make_viterbi_acs());
+  kernels.emplace_back("goertzel", workloads::make_goertzel(8));
+  kernels.emplace_back("rsp", workloads::make_rsp(6));
+  ir::TaskGraph tg;
+  ir::TaskId prev = -1;
+  for (auto& [name, block] : kernels) {
+    std::vector<ir::TaskId> deps;
+    if (prev >= 0 && tg.num_tasks() % 3 != 0) deps.push_back(prev);
+    prev = tg.add_task(name, std::move(block), deps);
+  }
+  EngineOptions options;
+  options.threads = 1;
+  options.num_registers = 8;
+  options.params.register_model = energy::RegisterModel::kActivity;
+  const PipelineReport report = Engine(options).run(tg);
+  ASSERT_EQ(report.tasks.size(), std::size(expected));
+  for (std::size_t t = 0; t < report.tasks.size(); ++t) {
+    const TaskReport& task = report.tasks[t];
+    const Expected& want = expected[t];
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(task.name, want.name);
+    ASSERT_TRUE(task.feasible) << task.failure_reason;
+    EXPECT_EQ(task.result.activity_energy.total(), want.energy);
+    EXPECT_EQ(task.layout.locations, want.locations);
+    EXPECT_EQ(task.layout.optimized_activity, want.optimized_activity);
+    EXPECT_EQ(task.layout.optimized_energy, want.optimized_energy);
+    std::uint64_t hash = 1469598103934665603ull;
+    for (int address : task.layout.address) {
+      hash ^= static_cast<std::uint32_t>(address);
+      hash *= 1099511628211ull;
+    }
+    EXPECT_EQ(hash, want.address_hash);
+  }
+}
+
 }  // namespace
 }  // namespace lera::engine

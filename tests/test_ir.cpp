@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "ir/basic_block.hpp"
 #include "ir/eval.hpp"
 #include "ir/task_graph.hpp"
@@ -117,6 +120,97 @@ TEST(Eval, MacAndMinMax) {
   EXPECT_EQ(env[static_cast<std::size_t>(mac)], 17);
   EXPECT_EQ(env[static_cast<std::size_t>(mn)], 3);
   EXPECT_EQ(env[static_cast<std::size_t>(mx)], 17);
+}
+
+/// Every operation of the evaluator on two inputs, all at \p width bits.
+struct WideBlock {
+  BasicBlock bb{"wide"};
+  ValueId add{}, sub{}, mul{}, mac{}, div{}, shl{}, neg{}, abs{};
+
+  explicit WideBlock(int width) {
+    const ValueId x = bb.input("x", width);
+    const ValueId y = bb.input("y", width);
+    add = bb.emit(Opcode::kAdd, {x, y}, "add", width);
+    sub = bb.emit(Opcode::kSub, {x, y}, "sub", width);
+    mul = bb.emit(Opcode::kMul, {x, y}, "mul", width);
+    mac = bb.emit(Opcode::kMac, {x, y, x}, "mac", width);
+    div = bb.emit(Opcode::kDiv, {x, y}, "div", width);
+    shl = bb.emit(Opcode::kShl, {x, y}, "shl", width);
+    neg = bb.emit(Opcode::kNeg, {x}, "neg", width);
+    abs = bb.emit(Opcode::kAbs, {x}, "abs", width);
+    for (ValueId v : {add, sub, mul, mac, div, shl, neg, abs}) bb.output(v);
+  }
+};
+
+/// Two's-complement reduction of \p u to \p width bits, written
+/// independently of the evaluator.
+std::int64_t reduce(std::uint64_t u, int width) {
+  if (width == 32) {
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(u));
+  }
+  return static_cast<std::int64_t>(u);
+}
+
+void expect_wide_semantics(int width, std::int64_t lo, std::int64_t hi) {
+  const WideBlock w(width);
+  for (std::int64_t x : {lo, lo + 1, std::int64_t{-1}, std::int64_t{0},
+                         std::int64_t{1}, hi - 1, hi}) {
+    for (std::int64_t y : {lo, std::int64_t{-1}, std::int64_t{0},
+                           std::int64_t{1}, std::int64_t{15}, hi}) {
+      const auto env = evaluate(w.bb, {x, y});
+      const auto at = [&env](ValueId v) {
+        return env[static_cast<std::size_t>(v)];
+      };
+      const auto ux = static_cast<std::uint64_t>(x);
+      const auto uy = static_cast<std::uint64_t>(y);
+      SCOPED_TRACE(::testing::Message() << "width " << width << " x " << x
+                                        << " y " << y);
+      EXPECT_EQ(at(w.add), reduce(ux + uy, width));
+      EXPECT_EQ(at(w.sub), reduce(ux - uy, width));
+      EXPECT_EQ(at(w.mul), reduce(ux * uy, width));
+      EXPECT_EQ(at(w.mac), reduce(ux * uy + ux, width));
+      EXPECT_EQ(at(w.div), y == 0    ? 0
+                           : y == -1 ? reduce(0 - ux, width)
+                                     : reduce(static_cast<std::uint64_t>(x / y),
+                                              width));
+      EXPECT_EQ(at(w.shl), reduce(ux << (y & 15), width));
+      EXPECT_EQ(at(w.neg), reduce(0 - ux, width));
+      EXPECT_EQ(at(w.abs), reduce(x < 0 ? 0 - ux : ux, width));
+    }
+  }
+}
+
+TEST(Eval, ThirtyTwoBitExtremesWrap) {
+  expect_wide_semantics(32, std::numeric_limits<std::int32_t>::min(),
+                        std::numeric_limits<std::int32_t>::max());
+}
+
+TEST(Eval, SixtyFourBitExtremesWrap) {
+  // INT64_MIN / -1, -INT64_MIN and abs(INT64_MIN) all wrap to INT64_MIN;
+  // INT64_MAX + 1 and the products wrap modulo 2^64.
+  expect_wide_semantics(64, std::numeric_limits<std::int64_t>::min(),
+                        std::numeric_limits<std::int64_t>::max());
+  const WideBlock w(64);
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  const auto env = evaluate(w.bb, {min, -1});
+  EXPECT_EQ(env[static_cast<std::size_t>(w.div)], min);
+  EXPECT_EQ(env[static_cast<std::size_t>(w.neg)], min);
+  EXPECT_EQ(env[static_cast<std::size_t>(w.abs)], min);
+}
+
+TEST(BasicBlock, RejectsWidthsOutsideOneToSixtyFour) {
+  BasicBlock bb("t");
+  EXPECT_THROW(bb.input("zero", 0), std::invalid_argument);
+  EXPECT_THROW(bb.input("wide", 65), std::invalid_argument);
+  EXPECT_THROW(bb.constant(1, "c", -3), std::invalid_argument);
+  const ValueId one = bb.input("one", 1);
+  const ValueId full = bb.input("full", 64);
+  EXPECT_THROW(bb.emit(Opcode::kAdd, {one, full}, "s", 128),
+               std::invalid_argument);
+  EXPECT_TRUE(bb.value(one).uses.empty());  // The failed emit left no use.
+  EXPECT_TRUE(bb.verify().empty()) << bb.verify();
+  EXPECT_EQ(bb.value(full).width, 64);
+  EXPECT_EQ(evaluate(bb, {1, -1})[static_cast<std::size_t>(one)], -1);
 }
 
 TEST(Eval, TraceShapeMatchesSamples) {
