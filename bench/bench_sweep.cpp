@@ -13,7 +13,6 @@
 
 #include "alloc/allocator.hpp"
 #include "alloc/coloring.hpp"
-#include "alloc/flow_graph.hpp"
 #include "alloc/two_phase.hpp"
 #include "engine/engine.hpp"
 #include "report/table.hpp"
@@ -219,58 +218,5 @@ int main() {
             << " plain_ms=" << plain_ms << " deadline_ms=" << deadline_ms
             << " overhead=" << deadline_overhead << "\n";
 
-  // Warm-start resubmission: the same problem submitted repeatedly (the
-  // explore / design-sweep pattern) with the engine's warm-start cache
-  // on vs off. Warm resolves repair the previous optimal flow instead of
-  // solving from scratch; hits is how many resubmissions the cache
-  // actually served (forced-register instances carry lower bounds and
-  // never warm-start).
-  {
-    // Prefer a problem whose flow graph is warm-startable (no lower
-    // bounds); fall back to the first one.
-    std::size_t pick = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!alloc::build_flow_graph(batch[i], alloc::GraphStyle::kDensityRegions)
-               .graph.has_lower_bounds()) {
-        pick = i;
-        break;
-      }
-    }
-    const std::vector<alloc::AllocationProblem> resubmits(8, batch[pick]);
-    std::int64_t warm_hits = 0;
-    const auto time_resubmit_ms = [&](bool warm_start) {
-      lera::engine::EngineOptions eopts;
-      eopts.threads = 1;
-      eopts.warm_start = warm_start;
-      const lera::engine::Engine engine(eopts);
-      double best = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto results = engine.allocate_batch(resubmits);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (rep == 0 || ms < best) best = ms;
-        if (results.size() != resubmits.size()) std::abort();
-      }
-      if (warm_start) warm_hits = engine.stats().perf.warm_start_hits;
-      return best;
-    };
-    const double cold_resubmit_ms = time_resubmit_ms(false);
-    const double warm_resubmit_ms = time_resubmit_ms(true);
-    const double warm_speedup =
-        warm_resubmit_ms > 0 ? cold_resubmit_ms / warm_resubmit_ms : 0;
-    std::cout << "\n=== warm-start resubmission: " << resubmits.size()
-              << " identical solves, cache on vs off ===\n"
-              << "cold: " << report::Table::num(cold_resubmit_ms) << " ms\n"
-              << "warm: " << report::Table::num(warm_resubmit_ms) << " ms  ("
-              << report::Table::num(warm_speedup) << "x, " << warm_hits
-              << " cache hits)\n";
-    std::cout << "LERA_METRIC bench=sweep metric=warm_resubmission threads=1"
-              << " batch=" << resubmits.size()
-              << " cold_ms=" << cold_resubmit_ms
-              << " warm_ms=" << warm_resubmit_ms << " hits=" << warm_hits
-              << " speedup=" << warm_speedup << "\n";
-  }
   return 0;
 }

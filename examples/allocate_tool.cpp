@@ -19,9 +19,6 @@
 //                   solves degrade to the two-phase baseline (or are
 //                   skipped) and print "LERA_TIMEOUT <task> <detail>";
 //                   a run curtailed this way exits 3
-//     --retries N   re-run a solver whose answer flunks certification up
-//                   to N times (transient-fault healing) before falling
-//                   through the chain
 //     --max-bytes N per-solve memory budget in bytes (0 = unlimited);
 //                   a solve whose predicted footprint the budget refuses
 //                   degrades to the two-phase baseline, or prints
@@ -38,8 +35,8 @@
 //     --explore     co-explore schedules via the parallel engine and
 //                   print the candidate table instead of one allocation
 //     --perf        print the engine's solver performance counters
-//                   (augmentations, heap traffic, workspace/warm-start
-//                   hits, per-phase ns) as one "LERA_PERF ..." line
+//                   (augmentations, heap traffic, workspace reuse,
+//                   per-phase ns) as one "LERA_PERF ..." line
 //     --cache       enable the engine's certified allocation cache,
 //                   re-submit the identical instance through it after
 //                   the cold solve, and print one "LERA_CACHE hit|miss"
@@ -60,7 +57,8 @@
 // the same way, and memory-budget-refused work prints
 //   LERA_ERROR <task> kind=memory <detail>
 // (same failure class the server sheds as memory_infeasible). Exit
-// codes: 0 ok, 1 infeasible or bad input (usage errors included), 2
+// codes: 0 ok, 1 infeasible or bad input (usage errors, unknown
+// options included), 2
 // audit findings, 3 timed-out-degraded (usable but deadline-curtailed
 // output), 4 memory-budget-refused with no usable answer. Keep these
 // aligned with docs/API.md.
@@ -123,6 +121,15 @@ void print_memory_line(const std::string& task, const std::string& detail) {
             << "\n";
 }
 
+constexpr const char* kUsage =
+    "usage: allocate_tool [file.lera...] [-r N] [-p N] "
+    "[-m static|activity] [-g density|allpairs] "
+    "[--solver auto|ssp|simplex|cost-scaling|cycle-canceling] "
+    "[--threads N] [--deadline-ms N] "
+    "[--max-bytes N] [--audit off|legality|full] "
+    "[--pipeline] [--explore] [--perf] [--cache] "
+    "[--csv]\n";
+
 constexpr const char* kDemo = R"(# demo: complex multiply + accumulate
 in ar, ai, br, bi, acc
 p0 = ar * br
@@ -149,7 +156,6 @@ int main(int argc, char** argv) {
   int period = 1;
   int threads = 1;
   int deadline_ms = 0;
-  int retries = 0;
   long long max_bytes = 0;
   bool csv = false;
   bool perf = false;
@@ -215,8 +221,6 @@ int main(int argc, char** argv) {
       threads = next_int("--threads");
     } else if (arg == "--deadline-ms") {
       deadline_ms = next_int("--deadline-ms");
-    } else if (arg == "--retries") {
-      retries = next_int("--retries");
     } else if (arg == "--max-bytes") {
       const std::string v = next();
       try {
@@ -256,14 +260,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--asm") {
       emit_asm = true;
     } else if (arg == "-h" || arg == "--help") {
-      std::cout << "usage: allocate_tool [file.lera...] [-r N] [-p N] "
-                   "[-m static|activity] [-g density|allpairs] "
-                   "[--solver auto|ssp|simplex|cost-scaling|cycle-canceling] "
-                   "[--threads N] [--deadline-ms N] [--retries N] "
-                   "[--max-bytes N] [--audit off|legality|full] "
-                   "[--pipeline] [--explore] [--perf] [--cache] "
-                   "[--csv]\n";
+      std::cout << kUsage;
       return 0;
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      std::cerr << "error: unknown option " << arg << "\n" << kUsage;
+      return 1;
     } else {
       positional.push_back(arg);
     }
@@ -344,7 +345,6 @@ int main(int argc, char** argv) {
     // baseline (flagged + exit 3) instead of failing outright.
     eng_opts.alloc.fallback_to_baseline = true;
   }
-  eng_opts.solver_retries = retries;
   if (use_cache) eng_opts.cache_entries = 256;
   if (max_bytes > 0) {
     eng_opts.max_bytes_per_solve = max_bytes;

@@ -28,9 +28,9 @@
 ///                  (steps, registers, access model, lifetimes,
 ///                  segments — no energies, no activities). Two
 ///                  problems with equal `structural` hashes build
-///                  flow graphs with identical nodes/arcs/supplies, so
-///                  this is the warm-start pool key: cost-jittered
-///                  resubmissions of one kernel share an entry.
+///                  flow graphs with identical nodes/arcs/supplies
+///                  (cost-jittered resubmissions of one kernel share
+///                  it).
 ///
 /// Everything that can change the optimal allocation is hashed:
 /// num_steps, num_registers, the access model, every EnergyParams field

@@ -27,8 +27,7 @@ std::int64_t estimate_result_bytes(const alloc::AllocationResult& r) {
     bytes += static_cast<std::int64_t>(a.note.capacity());
   }
   bytes += static_cast<std::int64_t>(d.message.capacity() +
-                                     d.auto_features.capacity() +
-                                     d.warm_store_note.capacity());
+                                     d.auto_features.capacity());
   bytes += static_cast<std::int64_t>(r.audit.findings.capacity() * 64);
   return bytes;
 }

@@ -15,51 +15,41 @@ namespace {
 
 /// The supervision state one Engine entry point threads into its
 /// solves: the run-wide deadline (armed at entry), the cancel token the
-/// solves observe, and the shared breaker/stats. All observation-only
-/// until a knob is set — a default Supervision leaves the solve path
+/// solves observe, and the shared stats. All observation-only until a
+/// knob is set — a default Supervision leaves the solve path
 /// bit-identical to the unsupervised engine.
 struct Supervision {
   netflow::Deadline run_deadline;
   netflow::CancelToken cancel;
-  netflow::CircuitBreaker* breaker = nullptr;
   detail::EngineStatsCore* stats = nullptr;
-  detail::ContextBank* bank = nullptr;
+  detail::WorkspaceBank* bank = nullptr;
   /// Engine-wide memory budget; every solve charges a child of it.
   netflow::MemoryBudget memory_budget;
 };
 
-/// Checks a SolveContext out of the bank for one allocator call and
+/// Checks a workspace out of the bank for one allocator call and
 /// threads it into the solve options; returns it on destruction. With a
-/// null bank (both knobs off) this is a no-op and the solve path is
-/// untouched. When warm starts are on and the problem is known, the
-/// warm cache is picked from the context's keyed pool by the problem's
-/// structural fingerprint, so each flow topology warms independently.
-class ContextLease {
+/// null bank (reuse_workspaces off) this is a no-op and the solve path
+/// is untouched.
+class WorkspaceLease {
  public:
-  ContextLease(detail::ContextBank* bank, const EngineOptions& o,
-               alloc::AllocatorOptions& a,
-               const alloc::AllocationProblem* p = nullptr)
+  WorkspaceLease(detail::WorkspaceBank* bank, alloc::AllocatorOptions& a)
       : bank_(bank) {
     if (bank_ == nullptr) return;
-    ctx_ = bank_->acquire();
-    if (o.reuse_workspaces) a.solve.workspace = &ctx_->workspace;
-    if (o.warm_start) {
-      const std::uint64_t key =
-          p != nullptr ? alloc::fingerprint_problem(*p).structural : 0;
-      a.solve.warm_cache = ctx_->warm_pool.acquire(key);
-    }
+    ws_ = bank_->acquire();
+    a.solve.workspace = ws_.get();
   }
 
-  ~ContextLease() {
-    if (bank_ != nullptr) bank_->release(std::move(ctx_));
+  ~WorkspaceLease() {
+    if (bank_ != nullptr) bank_->release(std::move(ws_));
   }
 
-  ContextLease(const ContextLease&) = delete;
-  ContextLease& operator=(const ContextLease&) = delete;
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
 
  private:
-  detail::ContextBank* bank_;
-  std::unique_ptr<detail::SolveContext> ctx_;
+  detail::WorkspaceBank* bank_;
+  std::unique_ptr<netflow::SolverWorkspace> ws_;
 };
 
 /// Arms the run-wide deadline for one entry-point call.
@@ -87,16 +77,9 @@ netflow::Deadline request_deadline(const EngineOptions& options,
 void apply_supervision(alloc::AllocatorOptions& a, const EngineOptions& o,
                        const netflow::Deadline& deadline,
                        const netflow::CancelToken& cancel,
-                       netflow::CircuitBreaker* breaker,
                        const netflow::MemoryBudget& memory_budget) {
   a.solve.cancel = cancel;
   a.solve.deadline = netflow::Deadline::earlier(a.solve.deadline, deadline);
-  if (o.solver_retries > 0) {
-    a.solve.max_retries_per_solver = o.solver_retries;
-    a.solve.retry_backoff_seconds = o.retry_backoff_seconds;
-    a.solve.retry_seed = o.retry_seed;
-  }
-  if (breaker != nullptr) a.solve.breaker = breaker;
   // Per-solve budget: a child of the engine-wide ledger, capped by
   // max_bytes_per_solve. Inert (tracking nothing) only when the caller
   // already threaded a budget of their own.
@@ -116,39 +99,8 @@ void record_solve(detail::EngineStatsCore* stats,
   if (r.memory_exceeded) {
     stats->memory_exceeded.fetch_add(1, std::memory_order_relaxed);
   }
-  if (r.solve_diagnostics.retries > 0) {
-    stats->retried.fetch_add(r.solve_diagnostics.retries,
-                             std::memory_order_relaxed);
-  }
-  const netflow::PerfCounters& p = r.solve_diagnostics.perf;
-  const auto bump = [](std::atomic<std::int64_t>& a, std::int64_t v) {
-    if (v != 0) a.fetch_add(v, std::memory_order_relaxed);
-  };
-  bump(stats->perf_solves, p.solves);
-  bump(stats->perf_augmentations, p.augmentations);
-  bump(stats->perf_settles, p.dijkstra_settles);
-  bump(stats->perf_heap_pushes, p.heap_pushes);
-  bump(stats->perf_heap_pops, p.heap_pops);
-  bump(stats->perf_pivots, p.simplex_pivots);
-  bump(stats->perf_cs_phases, p.cs_phases);
-  bump(stats->perf_cs_pushes, p.cs_pushes);
-  bump(stats->perf_cs_relabels, p.cs_relabels);
-  bump(stats->perf_price_refinements, p.price_refinements);
-  bump(stats->perf_auto_selections, p.auto_selections);
-  bump(stats->perf_workspace_reuse, p.workspace_reuse_hits);
-  bump(stats->perf_warm_hits, p.warm_start_hits);
-  bump(stats->perf_warm_misses, p.warm_start_misses);
-  bump(stats->perf_validate_ns, p.validate_ns);
-  bump(stats->perf_solve_ns, p.solve_ns);
-  bump(stats->perf_certify_ns, p.certify_ns);
-  bump(stats->perf_mem_charged, p.mem_charged_bytes);
-  bump(stats->perf_mem_denials, p.mem_denials);
-  // Peak is max-merged, not summed (see PerfCounters::add).
-  std::int64_t cur = stats->perf_mem_peak.load(std::memory_order_relaxed);
-  while (p.mem_peak_bytes > cur &&
-         !stats->perf_mem_peak.compare_exchange_weak(
-             cur, p.mem_peak_bytes, std::memory_order_relaxed)) {
-  }
+  std::lock_guard<std::mutex> lock(stats->perf_mutex);
+  stats->perf.add(r.solve_diagnostics.perf);
 }
 
 /// Maps the engine's audit knobs onto the auditor and stamps the
@@ -234,8 +186,8 @@ TaskReport solve_task(const ir::Task& task, const EngineOptions& options,
       alloc_options.fallback_to_baseline ||
       options.degrade_on_solver_failure;
   apply_supervision(alloc_options, options, deadline, sup.cancel,
-                    sup.breaker, sup.memory_budget);
-  const ContextLease lease(sup.bank, options, alloc_options, &p);
+                    sup.memory_budget);
+  const WorkspaceLease lease(sup.bank, alloc_options);
   if (sup.stats != nullptr) {
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
   }
@@ -294,8 +246,8 @@ ScheduleCandidate evaluate_candidate(const ir::BasicBlock& bb,
   alloc::AllocatorOptions alloc_options = options.alloc;
   apply_supervision(alloc_options, options,
                     request_deadline(options, sup.run_deadline), sup.cancel,
-                    sup.breaker, sup.memory_budget);
-  const ContextLease lease(sup.bank, options, alloc_options, &p);
+                    sup.memory_budget);
+  const WorkspaceLease lease(sup.bank, alloc_options);
   if (sup.stats != nullptr) {
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
   }
@@ -313,13 +265,9 @@ ScheduleCandidate evaluate_candidate(const ir::BasicBlock& bb,
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
       memory_budget_(netflow::MemoryBudget::make(options_.max_bytes_total)),
-      breaker_(options_.breaker_threshold > 0
-                   ? std::make_shared<netflow::CircuitBreaker>(
-                         options_.breaker_threshold)
-                   : nullptr),
       stats_core_(std::make_shared<detail::EngineStatsCore>()),
-      bank_(options_.reuse_workspaces || options_.warm_start
-                ? std::make_shared<detail::ContextBank>()
+      bank_(options_.reuse_workspaces
+                ? std::make_shared<detail::WorkspaceBank>()
                 : nullptr),
       cache_(options_.cache_entries > 0
                  ? std::make_shared<AllocCache>(
@@ -353,42 +301,14 @@ EngineStats Engine::stats() const {
   s.solves_timed_out =
       stats_core_->timed_out.load(std::memory_order_relaxed);
   s.solves_degraded = stats_core_->degraded.load(std::memory_order_relaxed);
-  s.solves_retried = stats_core_->retried.load(std::memory_order_relaxed);
   s.solves_memory_exceeded =
       stats_core_->memory_exceeded.load(std::memory_order_relaxed);
   s.memory_bytes_in_use = memory_budget_.used();
   s.memory_peak_bytes = memory_budget_.peak();
   s.memory_denials = memory_budget_.denials();
-  const auto& c = *stats_core_;
-  s.perf.solves = c.perf_solves.load(std::memory_order_relaxed);
-  s.perf.augmentations =
-      c.perf_augmentations.load(std::memory_order_relaxed);
-  s.perf.dijkstra_settles = c.perf_settles.load(std::memory_order_relaxed);
-  s.perf.heap_pushes = c.perf_heap_pushes.load(std::memory_order_relaxed);
-  s.perf.heap_pops = c.perf_heap_pops.load(std::memory_order_relaxed);
-  s.perf.simplex_pivots = c.perf_pivots.load(std::memory_order_relaxed);
-  s.perf.cs_phases = c.perf_cs_phases.load(std::memory_order_relaxed);
-  s.perf.cs_pushes = c.perf_cs_pushes.load(std::memory_order_relaxed);
-  s.perf.cs_relabels = c.perf_cs_relabels.load(std::memory_order_relaxed);
-  s.perf.price_refinements =
-      c.perf_price_refinements.load(std::memory_order_relaxed);
-  s.perf.auto_selections =
-      c.perf_auto_selections.load(std::memory_order_relaxed);
-  s.perf.workspace_reuse_hits =
-      c.perf_workspace_reuse.load(std::memory_order_relaxed);
-  s.perf.warm_start_hits = c.perf_warm_hits.load(std::memory_order_relaxed);
-  s.perf.warm_start_misses =
-      c.perf_warm_misses.load(std::memory_order_relaxed);
-  s.perf.validate_ns = c.perf_validate_ns.load(std::memory_order_relaxed);
-  s.perf.solve_ns = c.perf_solve_ns.load(std::memory_order_relaxed);
-  s.perf.certify_ns = c.perf_certify_ns.load(std::memory_order_relaxed);
-  s.perf.mem_charged_bytes =
-      c.perf_mem_charged.load(std::memory_order_relaxed);
-  s.perf.mem_denials = c.perf_mem_denials.load(std::memory_order_relaxed);
-  s.perf.mem_peak_bytes = c.perf_mem_peak.load(std::memory_order_relaxed);
-  if (breaker_ != nullptr) {
-    s.breaker_threshold = breaker_->threshold();
-    s.open_breakers = breaker_->open_solvers();
+  {
+    std::lock_guard<std::mutex> lock(stats_core_->perf_mutex);
+    s.perf = stats_core_->perf;
   }
   if (cache_ != nullptr) {
     const AllocCacheStats cs = cache_->stats();
@@ -412,8 +332,7 @@ EngineStats Engine::stats() const {
 
 PipelineReport Engine::run(const ir::TaskGraph& graph) const {
   const Supervision sup{run_deadline_of(options_), shutdown_,
-                        breaker_.get(), stats_core_.get(), bank_.get(),
-                        memory_budget_};
+                        stats_core_.get(), bank_.get(), memory_budget_};
   const std::vector<ir::TaskId> order = graph.topological_order();
   std::vector<TaskReport> tasks(order.size());
 
@@ -462,8 +381,7 @@ PipelineReport Engine::run(const ir::TaskGraph& graph) const {
 
 ExploreResult Engine::explore(const ir::BasicBlock& bb) const {
   const Supervision sup{run_deadline_of(options_), shutdown_,
-                        breaker_.get(), stats_core_.get(), bank_.get(),
-                        memory_budget_};
+                        stats_core_.get(), bank_.get(), memory_budget_};
   ExploreResult out;
 
   // Candidate generation is cheap and order-defining: do it inline.
@@ -504,8 +422,7 @@ ExploreResult Engine::explore(const ir::BasicBlock& bb) const {
 std::vector<alloc::AllocationResult> Engine::allocate_batch(
     const std::vector<alloc::AllocationProblem>& problems) const {
   const Supervision sup{run_deadline_of(options_), shutdown_,
-                        breaker_.get(), stats_core_.get(), bank_.get(),
-                        memory_budget_};
+                        stats_core_.get(), bank_.get(), memory_budget_};
   std::vector<alloc::AllocationResult> results(problems.size());
   pool_->parallel_for(problems.size(), [&](std::size_t i) {
     // Anytime contract: problems not started when the run deadline
@@ -535,9 +452,8 @@ std::vector<alloc::AllocationResult> Engine::allocate_batch(
     alloc::AllocatorOptions alloc_options = options_.alloc;
     apply_supervision(alloc_options, options_,
                       request_deadline(options_, sup.run_deadline),
-                      sup.cancel, sup.breaker, sup.memory_budget);
-    const ContextLease lease(sup.bank, options_, alloc_options,
-                             &problems[i]);
+                      sup.cancel, sup.memory_budget);
+    const WorkspaceLease lease(sup.bank, alloc_options);
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
     results[i] = alloc::allocate(problems[i], alloc_options);
     record_solve(sup.stats, results[i]);
@@ -613,13 +529,13 @@ std::size_t Session::submit(alloc::AllocationProblem problem,
   const netflow::Deadline deadline =
       budget > 0 ? netflow::Deadline::after(budget) : netflow::Deadline();
   // The job owns its problem and a share of the state (and of the
-  // engine's breaker/stats); it never touches the Session handle, so
-  // moving/destroying the Session is safe.
+  // engine's stats); it never touches the Session handle, so moving or
+  // destroying the Session is safe.
   engine_->pool_->submit(
       [state = state_, slot, problem = std::move(problem),
        options = engine_->options_, ticket, token, deadline,
-       stats = engine_->stats_core_, breaker = engine_->breaker_,
-       bank = engine_->bank_, cache = engine_->cache_,
+       stats = engine_->stats_core_, bank = engine_->bank_,
+       cache = engine_->cache_,
        memory_budget = engine_->memory_budget_] {
         {
           std::lock_guard<std::mutex> lock(state->mutex);
@@ -639,9 +555,8 @@ std::size_t Session::submit(alloc::AllocationProblem problem,
         if (!served_from_cache) {
           alloc::AllocatorOptions alloc_options = options.alloc;
           apply_supervision(alloc_options, options, deadline, token,
-                            breaker.get(), memory_budget);
-          const ContextLease lease(bank.get(), options, alloc_options,
-                                   &problem);
+                            memory_budget);
+          const WorkspaceLease lease(bank.get(), alloc_options);
           stats->started.fetch_add(1, std::memory_order_relaxed);
           *slot = alloc::allocate(problem, alloc_options);
           record_solve(stats.get(), *slot);

@@ -19,7 +19,6 @@
 #include "ir/task_graph.hpp"
 #include "netflow/cancel.hpp"
 #include "netflow/membudget.hpp"
-#include "netflow/warm.hpp"
 #include "netflow/workspace.hpp"
 #include "sched/schedule.hpp"
 
@@ -99,10 +98,13 @@ struct EngineOptions {
   /// Extra latency slack levels for force-directed schedules.
   std::vector<int> slack_options{0, 2, 4};
 
-  // --- Supervision: deadlines, retry, circuit breaking ------------------
-  /// With every knob here at its default, the engine's output is
+  // --- Supervision: deadlines -------------------------------------------
+  /// With both knobs here at their defaults, the engine's output is
   /// bit-identical to the unsupervised engine — the supervision layer
-  /// only ever observes the solve path until a knob turns it on.
+  /// only ever observes the solve path until a knob turns it on. A
+  /// solver answer that flunks certification needs no knob: the robust
+  /// solve falls through to the next, different backend (or surfaces
+  /// kUncertified) on its own.
   ///
   /// Wall-clock budget for one solve request, in seconds (0 = none).
   /// Counted from when the request's task starts (run/explore) or from
@@ -117,18 +119,6 @@ struct EngineOptions {
   /// down as for task_deadline_seconds; the partial report still
   /// aggregates everything that did finish.
   double run_deadline_seconds = 0;
-  /// Transient-failure retries per solver: re-run a solver whose answer
-  /// flunked certification up to this many times before falling through
-  /// the chain (netflow::SolveOptions::max_retries_per_solver).
-  int solver_retries = 0;
-  /// Base of the seeded jittered exponential backoff between retries.
-  double retry_backoff_seconds = 0;
-  /// Seed of the backoff jitter.
-  std::uint64_t retry_seed = 1;
-  /// Consecutive certification failures after which a solver's circuit
-  /// breaker opens and the engine skips it in subsequent solves
-  /// (netflow::CircuitBreaker). 0 = no breaker.
-  int breaker_threshold = 0;
 
   // --- Memory budgeting -------------------------------------------------
   /// Byte cap for one solve request (0 = none). Each solve gets a child
@@ -139,26 +129,17 @@ struct EngineOptions {
   /// degraded: a typed verdict, never an OOM kill.
   std::int64_t max_bytes_per_solve = 0;
   /// Byte cap shared by every concurrent solve plus the pooled
-  /// workspaces of the context bank (0 = track-only: peak/in-use bytes
+  /// workspaces of the workspace bank (0 = track-only: peak/in-use bytes
   /// still show up in EngineStats and the server's HEALTH line, but
   /// nothing is ever refused).
   std::int64_t max_bytes_total = 0;
 
-  // --- Solver workspaces and warm starts --------------------------------
+  // --- Solver workspaces ------------------------------------------------
   /// Lease every solve a reusable netflow::SolverWorkspace from the
-  /// engine's context bank, so repeated solves stop paying per-solve
+  /// engine's workspace bank, so repeated solves stop paying per-solve
   /// allocation. Bit-identical to running without one (a workspace only
   /// changes allocation behavior), so it defaults on.
   bool reuse_workspaces = true;
-  /// Also lease each solve a netflow::WarmStartCache and let same-
-  /// topology re-submissions resolve from the previous optimal flow.
-  /// Warm answers are always re-certified, but they may pick a
-  /// *different* equal-cost optimum than a cold solve, so this is
-  /// opt-in: the default engine stays bit-identical across runs and
-  /// thread counts. Warm caches are pooled per context and keyed by the
-  /// problem's structural fingerprint, so alternating topologies in one
-  /// stream no longer thrash a single cache.
-  bool warm_start = false;
 
   // --- Allocation cache (fingerprint -> certified result) ---------------
   /// Entry cap of the engine's AllocCache (0 = cache off; the default,
@@ -190,8 +171,6 @@ struct EngineStats {
   std::int64_t solves_timed_out = 0;
   /// Completed solves answered by the two-phase baseline.
   std::int64_t solves_degraded = 0;
-  /// Transient-failure re-runs summed over all solves.
-  std::int64_t solves_retried = 0;
   /// Completed solves a memory budget (or a real allocation failure)
   /// curtailed (AllocationResult::memory_exceeded); like timed_out, a
   /// memory-exceeded solve may still be feasible via the baseline.
@@ -204,14 +183,10 @@ struct EngineStats {
   /// Charges the engine-wide budget refused (0 when max_bytes_total is
   /// 0 — per-solve denials land in solves_memory_exceeded instead).
   std::int64_t memory_denials = 0;
-  /// Solvers whose circuit breaker is currently open (display names;
-  /// empty when breaker_threshold is 0).
-  std::vector<std::string> open_breakers;
-  int breaker_threshold = 0;
   /// Solver-level performance counters summed over every completed
-  /// solve (augmentations, heap traffic, workspace/warm-start hits,
-  /// per-phase wall time); see netflow::PerfCounters. The cache_*
-  /// counters below are mirrored into perf as well.
+  /// solve (augmentations, heap traffic, workspace reuse, per-phase
+  /// wall time); see netflow::PerfCounters. The cache_* counters below
+  /// are mirrored into perf as well.
   netflow::PerfCounters perf;
   /// Allocation-cache counters (all 0 when cache_entries is 0).
   std::int64_t cache_hits = 0;
@@ -225,96 +200,64 @@ struct EngineStats {
 };
 
 namespace detail {
-/// Lock-free counters behind EngineStats, shared (by shared_ptr) with
-/// queued Session jobs so they outlive any one handle.
+/// Counters behind EngineStats, shared (by shared_ptr) with queued
+/// Session jobs so they outlive any one handle.
 struct EngineStatsCore {
   std::atomic<std::int64_t> started{0};
   std::atomic<std::int64_t> completed{0};
   std::atomic<std::int64_t> cancelled{0};
   std::atomic<std::int64_t> timed_out{0};
   std::atomic<std::int64_t> degraded{0};
-  std::atomic<std::int64_t> retried{0};
   std::atomic<std::int64_t> memory_exceeded{0};
-  /// Atomic mirror of netflow::PerfCounters, harvested from each
-  /// solve's diagnostics as it completes.
-  std::atomic<std::int64_t> perf_solves{0};
-  std::atomic<std::int64_t> perf_augmentations{0};
-  std::atomic<std::int64_t> perf_settles{0};
-  std::atomic<std::int64_t> perf_heap_pushes{0};
-  std::atomic<std::int64_t> perf_heap_pops{0};
-  std::atomic<std::int64_t> perf_pivots{0};
-  std::atomic<std::int64_t> perf_cs_phases{0};
-  std::atomic<std::int64_t> perf_cs_pushes{0};
-  std::atomic<std::int64_t> perf_cs_relabels{0};
-  std::atomic<std::int64_t> perf_price_refinements{0};
-  std::atomic<std::int64_t> perf_auto_selections{0};
-  std::atomic<std::int64_t> perf_workspace_reuse{0};
-  std::atomic<std::int64_t> perf_warm_hits{0};
-  std::atomic<std::int64_t> perf_warm_misses{0};
-  std::atomic<std::int64_t> perf_validate_ns{0};
-  std::atomic<std::int64_t> perf_solve_ns{0};
-  std::atomic<std::int64_t> perf_certify_ns{0};
-  std::atomic<std::int64_t> perf_mem_charged{0};
-  std::atomic<std::int64_t> perf_mem_denials{0};
-  /// Max-merged (not summed): the largest per-solve budget peak seen.
-  std::atomic<std::int64_t> perf_mem_peak{0};
+  /// Every completed solve's diagnostics.perf, merged with add().
+  std::mutex perf_mutex;
+  netflow::PerfCounters perf;
 };
 
-/// A leased per-solve context: one solver workspace plus a small pool
-/// of warm-start caches keyed by structural fingerprint (so a stream
-/// that alternates between topologies keeps a warm flow for each
-/// instead of thrashing one cache). Belongs to exactly one in-flight
-/// solve at a time; the bank below enforces that by handing out
-/// exclusive ownership.
-struct SolveContext {
-  netflow::SolverWorkspace workspace;
-  netflow::WarmStartPool warm_pool{8};
-};
-
-/// Mutex-guarded freelist of SolveContexts, shared (by shared_ptr) with
-/// queued Session jobs. The pool has no thread identity to key on, so
-/// solves check a context out for their duration instead: at most
-/// pool-width contexts ever exist, each used strictly sequentially —
+/// Mutex-guarded freelist of SolverWorkspaces, shared (by shared_ptr)
+/// with queued Session jobs. The pool has no thread identity to key on,
+/// so solves check a workspace out for their duration instead: at most
+/// pool-width workspaces ever exist, each used strictly sequentially —
 /// which is exactly the SolverWorkspace ownership contract.
 ///
-/// Pooled (idle) contexts retain their grown scratch arenas, so their
+/// Pooled (idle) workspaces retain their grown scratch arenas, so their
 /// measured footprint is charged against the engine-wide memory budget
 /// while they sit in the freelist: retained bytes show up in
-/// EngineStats and count against max_bytes_total. A context the budget
-/// refuses to pool is dropped (freed) instead — under memory pressure
-/// the bank sheds capacity rather than busting the cap.
-class ContextBank {
+/// EngineStats and count against max_bytes_total. A workspace the
+/// budget refuses to pool is dropped (freed) instead — under memory
+/// pressure the bank sheds capacity rather than busting the cap.
+class WorkspaceBank {
  public:
-  /// Installs the engine-wide budget idle contexts are charged against.
+  /// Installs the engine-wide budget idle workspaces are charged against.
   /// Call before the first release(); an inert budget tracks nothing.
   void set_budget(netflow::MemoryBudget budget) {
     std::lock_guard<std::mutex> lock(mutex_);
     budget_ = std::move(budget);
   }
 
-  std::unique_ptr<SolveContext> acquire() {
+  std::unique_ptr<netflow::SolverWorkspace> acquire() {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (free_.empty()) return std::make_unique<SolveContext>();
-    std::unique_ptr<SolveContext> ctx = std::move(free_.back());
+    if (free_.empty()) return std::make_unique<netflow::SolverWorkspace>();
+    std::unique_ptr<netflow::SolverWorkspace> ws = std::move(free_.back());
     free_.pop_back();
     budget_.release(charged_.back());
     charged_.pop_back();
-    return ctx;
+    return ws;
   }
 
-  void release(std::unique_ptr<SolveContext> ctx) {
-    if (ctx == nullptr) return;
-    const std::int64_t bytes = ctx->workspace.footprint_bytes();
+  void release(std::unique_ptr<netflow::SolverWorkspace> ws) {
+    if (ws == nullptr) return;
+    const std::int64_t bytes = ws->footprint_bytes();
     std::lock_guard<std::mutex> lock(mutex_);
     if (!budget_.try_charge(bytes)) return;  // Shed: free, don't pool.
-    free_.push_back(std::move(ctx));
+    free_.push_back(std::move(ws));
     charged_.push_back(bytes);
   }
 
  private:
   std::mutex mutex_;
   netflow::MemoryBudget budget_;
-  std::vector<std::unique_ptr<SolveContext>> free_;
+  std::vector<std::unique_ptr<netflow::SolverWorkspace>> free_;
   /// Bytes charged for free_[i]; kept in lockstep with free_.
   std::vector<std::int64_t> charged_;
 };
@@ -509,9 +452,8 @@ class Engine {
   /// Opens an incremental batching session (see Session).
   Session open_session() const { return Session(*this); }
 
-  /// Snapshot of the supervision counters and breaker state. Counters
-  /// are monotonic over the engine's lifetime and shared by every entry
-  /// point and session.
+  /// Snapshot of the supervision counters. Counters are monotonic over
+  /// the engine's lifetime and shared by every entry point and session.
   EngineStats stats() const;
 
   /// The engine-wide shutdown token (parent of every session token).
@@ -529,16 +471,14 @@ class Engine {
 
   EngineOptions options_;
   netflow::CancelToken shutdown_{netflow::CancelToken::make()};
-  /// Root of every per-solve budget chain; also charged for the context
-  /// bank's pooled workspaces.
+  /// Root of every per-solve budget chain; also charged for the
+  /// workspace bank's pooled workspaces.
   netflow::MemoryBudget memory_budget_;
-  /// Non-null when options_.breaker_threshold > 0; shared with queued
-  /// Session jobs so it outlives any one handle.
-  std::shared_ptr<netflow::CircuitBreaker> breaker_;
+  /// Shared with queued Session jobs so it outlives any one handle.
   std::shared_ptr<detail::EngineStatsCore> stats_core_;
-  /// Non-null when reuse_workspaces or warm_start is set; shared with
-  /// queued Session jobs like the breaker and stats core.
-  std::shared_ptr<detail::ContextBank> bank_;
+  /// Non-null when reuse_workspaces is set; shared with queued Session
+  /// jobs like the stats core.
+  std::shared_ptr<detail::WorkspaceBank> bank_;
   /// Non-null when cache_entries > 0; shared with queued Session jobs.
   /// Entry bytes are charged against a child of memory_budget_.
   std::shared_ptr<AllocCache> cache_;

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <new>
 #include <sstream>
-#include <thread>
 
 #include "netflow/internal_solvers.hpp"
 #include "netflow/select.hpp"
 #include "netflow/validate.hpp"
-#include "netflow/warm.hpp"
 #include "netflow/workspace.hpp"
 
 namespace lera::netflow {
@@ -40,14 +37,6 @@ std::string to_string(CertificationVerdict verdict) {
   return "unknown";
 }
 
-std::vector<std::string> CircuitBreaker::open_solvers() const {
-  std::vector<std::string> out;
-  for (const internal::SolverBackend& backend : internal::solver_backends()) {
-    if (open(backend.kind)) out.push_back(to_string(backend.kind));
-  }
-  return out;
-}
-
 std::string SolveDiagnostics::summary() const {
   std::ostringstream os;
   os << message;
@@ -57,13 +46,7 @@ std::string SolveDiagnostics::summary() const {
       os << " " << to_string(a.solver) << "=" << to_string(a.status);
       if (!a.certified && !a.note.empty()) os << "(rejected)";
     }
-    if (retries > 0) os << " retries=" << retries;
     os << " cert=" << to_string(certification) << "]";
-  }
-  if (!breaker_skips.empty()) {
-    os << " [breaker-skipped:";
-    for (const std::string& s : breaker_skips) os << " " << s;
-    os << "]";
   }
   if (auto_selected) {
     os << " [auto: " << to_string(auto_choice) << " | " << auto_features
@@ -149,9 +132,7 @@ std::vector<SolverKind> effective_chain(const Graph& g,
   // decision so logs and tests can see why it was made.
   if (std::find(chain.begin(), chain.end(), SolverKind::kAuto) !=
       chain.end()) {
-    InstanceShape shape = measure_shape(g);
-    shape.warm_cache_match =
-        options.warm_cache != nullptr && options.warm_cache->matches(g);
+    const InstanceShape shape = measure_shape(g);
     const SolverKind choice = select_solver(shape);
     diag.auto_selected = true;
     diag.auto_choice = choice;
@@ -159,8 +140,9 @@ std::vector<SolverKind> effective_chain(const Graph& g,
     ++ws.counters.auto_selections;
     std::replace(chain.begin(), chain.end(), SolverKind::kAuto, choice);
   }
-  // Drop duplicates, keeping first occurrences: retrying the identical
-  // deterministic algorithm cannot change the answer.
+  // Drop duplicates, keeping first occurrences: no backend runs twice in
+  // one solve, since re-running the identical deterministic algorithm
+  // cannot change its answer.
   std::vector<SolverKind> unique;
   for (SolverKind kind : chain) {
     if (std::find(unique.begin(), unique.end(), kind) == unique.end()) {
@@ -274,16 +256,14 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
   // Timed wrapper for the certification checks. Certification builds
   // its own residual / adjacency structures, so it can hit allocation
   // failure like any solver; that is not a corrupted answer, and
-  // certify_oom lets callers route it down the memory path instead of
-  // the transient-fault retry path.
+  // certify_oom routes it down the memory path instead.
   bool certify_oom = false;
-  auto certify_timed = [&](const FlowSolution& sol, CertifyLevel level,
-                           std::string& why) {
+  auto certify_timed = [&](const FlowSolution& sol, std::string& why) {
     const auto t_cert = std::chrono::steady_clock::now();
     certify_oom = false;
     bool ok = false;
     try {
-      ok = certify_answer(g, sol, level, why);
+      ok = certify_answer(g, sol, options.certify, why);
     } catch (const std::bad_alloc&) {
       why = "certification: allocation failed (out of memory)";
       certify_oom = true;
@@ -293,9 +273,8 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
     return ok;
   };
 
-  // Resolve the chain (kAuto expansion included) before the warm-start
-  // attempt, so the auto-selection story lands in the diagnostics even
-  // when the warm path answers without touching the chain.
+  // Resolve the chain (kAuto expansion included) up front, so the
+  // auto-selection story lands in the diagnostics whatever happens next.
   const std::vector<SolverKind> chain =
       effective_chain(g, options, diag, *ws);
 
@@ -305,301 +284,145 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
   const bool budgeted = options.memory_budget.valid();
   const InstanceShape mem_shape = budgeted ? measure_shape(g) : InstanceShape{};
   MemoryBudget mem_budget = options.memory_budget;
-  /// Charges \p kind's predicted bytes; returns an un-ok() charge (and
-  /// records the denial) when the budget refuses.
-  auto charge_attempt = [&](SolverKind kind) {
-    BudgetCharge charge;
-    if (budgeted) {
-      const std::int64_t want = estimate_solver_bytes(mem_shape, kind);
-      diag.memory_estimated_bytes =
-          std::max(diag.memory_estimated_bytes, want);
-      charge = BudgetCharge(mem_budget, want);
-      if (charge.ok()) {
-        ws->counters.mem_charged_bytes += want;
-        ws->counters.mem_peak_bytes =
-            std::max(ws->counters.mem_peak_bytes, mem_budget.used());
-      } else {
-        diag.memory_hit = true;
-        ++ws->counters.mem_denials;
-      }
-    }
-    return charge;
-  };
-
-  // Warm start: when the cache holds a prior optimal flow for this very
-  // topology, repair it for the new costs/capacities instead of solving
-  // cold. The warm answer is always certified (at least kFeasible) so a
-  // stale or wrong cache entry falls back to the cold chain instead of
-  // leaking through.
-  if (options.warm_cache != nullptr && options.warm_cache->matches(g)) {
-    diag.warm_start_attempted = true;
-    const double remaining = remaining_budget();
-    // The warm resolve runs the SSP machinery; budget it like an SSP
-    // attempt. A denial just skips the warm path — the cold chain may
-    // still find a backend that fits.
-    const BudgetCharge warm_charge =
-        charge_attempt(SolverKind::kSuccessiveShortestPaths);
-    if (remaining > 0 && !(budgeted && !warm_charge.ok())) {
-      SolveGuard guard;
-      guard.max_iterations = options.max_iterations_per_solver;
-      guard.cancel = options.cancel;
-      if (remaining != std::numeric_limits<double>::infinity()) {
-        guard.max_seconds = remaining;
-      }
-      guard.start();
-      const double t_attempt = elapsed();
-      const auto t_solve = std::chrono::steady_clock::now();
-      FlowSolution sol;
-      try {
-        sol = resolve_warm(g, *options.warm_cache, &guard, ws);
-      } catch (const std::bad_alloc&) {
-        sol.status = SolveStatus::kMemoryExceeded;
-        sol.message = "warm-start: allocation failed (out of memory)";
-        diag.memory_hit = true;
-      }
-      ws->counters.solve_ns += ns_since(t_solve);
-      if (sol.status == SolveStatus::kOptimal && options.post_solve_hook) {
-        options.post_solve_hook(g, sol);
-      }
-
-      SolveAttempt attempt;
-      attempt.solver = SolverKind::kSuccessiveShortestPaths;
-      attempt.status = sol.status;
-      attempt.iterations = guard.iterations;
-      attempt.seconds = elapsed() - t_attempt;
-      attempt.note = "warm-start";
-      diag.iterations += guard.iterations;
-
-      if (guard.cancelled) {
-        diag.attempts.push_back(attempt);
-        return cancelled_verdict();
-      }
-      if (sol.status == SolveStatus::kOptimal) {
-        const CertifyLevel level = options.certify == CertifyLevel::kNone
-                                       ? CertifyLevel::kFeasible
-                                       : options.certify;
-        std::string why;
-        if (certify_timed(sol, level, why)) {
-          attempt.certified = true;
-          diag.attempts.push_back(attempt);
-          diag.solver_used = SolverKind::kSuccessiveShortestPaths;
-          diag.certification = CertificationVerdict::kPassed;
-          diag.warm_start_hit = true;
-          ++ws->counters.warm_start_hits;
-          diag.message = "optimal via warm-start resolve";
-          diag.warm_store_attempted = true;
-          diag.warm_store = options.warm_cache->store(g, sol.arc_flow);
-          if (diag.warm_store != WarmStoreOutcome::kStored) {
-            ++ws->counters.warm_store_rejects;
-            diag.warm_store_note =
-                "warm-store rejected: " + to_string(diag.warm_store);
-          }
-          return finish(sol);
-        }
-        attempt.note = "warm-start rejected: " + why;
-        diag.attempts.push_back(attempt);
-      } else {
-        attempt.note = "warm-start fell back to cold solve";
-        diag.attempts.push_back(attempt);
-      }
-    }
-  }
-  if (options.warm_cache != nullptr && !diag.warm_start_hit) {
-    ++ws->counters.warm_start_misses;
-  }
 
   int infeasible_votes = 0;
   FlowSolution uncertified;
   bool have_uncertified = false;
   bool budget_hit = false;
-  bool chain_stopped = false;
-
-  // Seeded backoff jitter (splitmix64), deterministic per solve.
-  std::uint64_t rng_state =
-      options.retry_seed * 0x9e3779b97f4a7c15ULL + 0xbf58476d1ce4e5b9ULL;
-  auto backoff = [&](int retry) {
-    if (options.retry_backoff_seconds <= 0) return;
-    std::uint64_t z = (rng_state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    const double jitter =
-        0.5 + 0.5 * (static_cast<double>(z >> 11) / 9007199254740992.0);
-    double sleep_s = options.retry_backoff_seconds *
-                     static_cast<double>(std::int64_t{1}
-                                         << std::min(retry, 20)) *
-                     jitter;
-    const double remaining = remaining_budget();
-    if (remaining < sleep_s) sleep_s = std::max(0.0, remaining);
-    if (sleep_s > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-    }
-  };
 
   for (SolverKind kind : chain) {
-    if (chain_stopped) break;
-    if (options.breaker != nullptr && !options.breaker->allow(kind)) {
-      diag.breaker_skips.push_back(to_string(kind));
-      continue;
+    if (options.cancel.cancelled()) return cancelled_verdict();
+
+    SolveGuard guard;
+    guard.max_iterations = options.max_iterations_per_solver;
+    guard.cancel = options.cancel;
+    const double remaining = remaining_budget();
+    if (remaining <= 0) {
+      budget_hit = true;
+      diag.deadline_hit = true;
+      break;
+    }
+    if (remaining != std::numeric_limits<double>::infinity()) {
+      guard.max_seconds = remaining;
     }
 
-    bool next_solver = false;
-    for (int retry = 0; !next_solver; ++retry) {
-      if (options.cancel.cancelled()) return cancelled_verdict();
-
-      SolveGuard guard;
-      guard.max_iterations = options.max_iterations_per_solver;
-      guard.cancel = options.cancel;
-      const double remaining = remaining_budget();
-      if (remaining <= 0) {
-        budget_hit = true;
-        diag.deadline_hit = true;
-        chain_stopped = true;
-        break;
-      }
-      if (remaining != std::numeric_limits<double>::infinity()) {
-        guard.max_seconds = remaining;
-      }
-
-      const BudgetCharge mem_charge = charge_attempt(kind);
-      if (budgeted && !mem_charge.ok()) {
+    // Held for the attempt; released when this iteration ends.
+    BudgetCharge mem_charge;
+    if (budgeted) {
+      const std::int64_t want = estimate_solver_bytes(mem_shape, kind);
+      diag.memory_estimated_bytes =
+          std::max(diag.memory_estimated_bytes, want);
+      mem_charge = BudgetCharge(mem_budget, want);
+      if (!mem_charge.ok()) {
+        diag.memory_hit = true;
+        ++ws->counters.mem_denials;
         SolveAttempt denied;
         denied.solver = kind;
         denied.status = SolveStatus::kMemoryExceeded;
-        denied.retry = retry;
         denied.note = "memory budget refused predicted footprint (" +
-                      std::to_string(estimate_solver_bytes(mem_shape, kind)) +
-                      " bytes)";
+                      std::to_string(want) + " bytes)";
         diag.attempts.push_back(denied);
-        next_solver = true;
-        break;
+        continue;
       }
+      ws->counters.mem_charged_bytes += want;
+      ws->counters.mem_peak_bytes =
+          std::max(ws->counters.mem_peak_bytes, mem_budget.used());
+    }
 
-      const double t_attempt = elapsed();
-      const auto t_solve = std::chrono::steady_clock::now();
-      FlowSolution sol = solve(g, kind, &guard, ws);
-      ws->counters.solve_ns += ns_since(t_solve);
-      if (sol.status == SolveStatus::kOptimal && options.post_solve_hook) {
-        options.post_solve_hook(g, sol);
-      }
+    const double t_attempt = elapsed();
+    const auto t_solve = std::chrono::steady_clock::now();
+    FlowSolution sol = solve(g, kind, &guard, ws);
+    ws->counters.solve_ns += ns_since(t_solve);
+    if (sol.status == SolveStatus::kOptimal && options.post_solve_hook) {
+      options.post_solve_hook(g, sol);
+    }
 
-      SolveAttempt attempt;
-      attempt.solver = kind;
-      attempt.status = sol.status;
-      attempt.iterations = guard.iterations;
-      attempt.seconds = elapsed() - t_attempt;
-      attempt.retry = retry;
-      diag.iterations += guard.iterations;
+    SolveAttempt attempt;
+    attempt.solver = kind;
+    attempt.status = sol.status;
+    attempt.iterations = guard.iterations;
+    attempt.seconds = elapsed() - t_attempt;
+    diag.iterations += guard.iterations;
 
-      switch (sol.status) {
-        case SolveStatus::kOptimal: {
-          std::string why;
-          if (certify_timed(sol, options.certify, why)) {
-            attempt.certified = options.certify != CertifyLevel::kNone;
-            diag.attempts.push_back(attempt);
-            diag.solver_used = kind;
-            diag.fallbacks_taken =
-                static_cast<int>(diag.attempts.size()) - 1;
-            diag.certification = options.certify == CertifyLevel::kNone
-                                     ? CertificationVerdict::kNotRun
-                                     : CertificationVerdict::kPassed;
-            diag.message = "optimal via " + to_string(kind) +
-                           (diag.fallbacks_taken > 0
-                                ? " after " +
-                                      std::to_string(diag.fallbacks_taken) +
-                                      " fallback(s)"
-                                : "");
-            if (options.breaker != nullptr) {
-              options.breaker->record_success(kind);
-            }
-            if (options.warm_cache != nullptr) {
-              diag.warm_store_attempted = true;
-              diag.warm_store = options.warm_cache->store(g, sol.arc_flow);
-              if (diag.warm_store != WarmStoreOutcome::kStored) {
-                ++ws->counters.warm_store_rejects;
-                diag.warm_store_note =
-                    "warm-store rejected: " + to_string(diag.warm_store);
-              }
-            }
-            return finish(sol);
-          }
-          attempt.note = "certification failed: " + why;
-          if (certify_oom) {
-            // Out of memory while *checking* the answer, not a
-            // corrupted answer: a typed memory attempt, the next
-            // backend gets its turn, and the breaker stays out of it.
-            attempt.status = SolveStatus::kMemoryExceeded;
-            diag.attempts.push_back(attempt);
-            next_solver = true;
-            break;
-          }
+    switch (sol.status) {
+      case SolveStatus::kOptimal: {
+        std::string why;
+        if (certify_timed(sol, why)) {
+          attempt.certified = options.certify != CertifyLevel::kNone;
           diag.attempts.push_back(attempt);
-          uncertified = std::move(sol);
-          have_uncertified = true;
-          if (options.breaker != nullptr) {
-            options.breaker->record_failure(kind);
-          }
-          // A flunked certificate is the transient-fault signature (the
-          // solver itself is deterministic, its answer was corrupted in
-          // flight): re-run the same solver under the retry budget
-          // before falling through the chain.
-          if (retry < options.max_retries_per_solver) {
-            ++diag.retries;
-            backoff(retry);
-            continue;
-          }
-          next_solver = true;
-          break;
-        }
-        case SolveStatus::kInfeasible: {
-          ++infeasible_votes;
-          diag.attempts.push_back(attempt);
-          const bool need_confirmation =
-              options.cross_check_infeasible &&
-              options.certify != CertifyLevel::kNone;
-          if (!need_confirmation || infeasible_votes >= 2) {
-            diag.fallbacks_taken =
-                static_cast<int>(diag.attempts.size()) - 1;
-            diag.message = "infeasible (confirmed by " +
-                           std::to_string(infeasible_votes) + " solver(s))";
-            FlowSolution inf;
-            inf.status = SolveStatus::kInfeasible;
-            return finish(inf);
-          }
-          next_solver = true;
-          break;
-        }
-        case SolveStatus::kBudgetExceeded: {
-          budget_hit = true;
-          diag.deadline_hit = diag.deadline_hit || guard.time_exceeded;
-          attempt.note = sol.message;
-          diag.attempts.push_back(attempt);
-          next_solver = true;
-          break;
-        }
-        case SolveStatus::kCancelled: {
-          attempt.note = sol.message;
-          diag.attempts.push_back(attempt);
-          return cancelled_verdict();
-        }
-        case SolveStatus::kMemoryExceeded: {
-          // A std::bad_alloc escaped the solver and was mapped at the
-          // solve() boundary; fall through the chain — a cheaper
-          // backend may still fit.
-          diag.memory_hit = true;
-          attempt.note = sol.message;
-          diag.attempts.push_back(attempt);
-          next_solver = true;
-          break;
-        }
-        case SolveStatus::kBadInstance:
-        case SolveStatus::kUncertified: {
-          // Unreachable after validate_instance, but fail loud, not wrong.
-          attempt.note = sol.message;
-          diag.attempts.push_back(attempt);
-          diag.message = "rejected by " + to_string(kind) + ": " + sol.message;
+          diag.solver_used = kind;
+          diag.fallbacks_taken = static_cast<int>(diag.attempts.size()) - 1;
+          diag.certification = options.certify == CertifyLevel::kNone
+                                   ? CertificationVerdict::kNotRun
+                                   : CertificationVerdict::kPassed;
+          diag.message = "optimal via " + to_string(kind) +
+                         (diag.fallbacks_taken > 0
+                              ? " after " +
+                                    std::to_string(diag.fallbacks_taken) +
+                                    " fallback(s)"
+                              : "");
           return finish(sol);
         }
+        attempt.note = "certification failed: " + why;
+        if (certify_oom) {
+          // Out of memory while *checking* the answer, not a corrupted
+          // answer: a typed memory attempt; the next backend gets its
+          // turn.
+          attempt.status = SolveStatus::kMemoryExceeded;
+          diag.attempts.push_back(attempt);
+          break;
+        }
+        // A flunked certificate is a defect of this backend (or an
+        // injected fault); the next, different backend gets its turn.
+        diag.attempts.push_back(attempt);
+        uncertified = std::move(sol);
+        have_uncertified = true;
+        break;
+      }
+      case SolveStatus::kInfeasible: {
+        ++infeasible_votes;
+        diag.attempts.push_back(attempt);
+        const bool need_confirmation =
+            options.cross_check_infeasible &&
+            options.certify != CertifyLevel::kNone;
+        if (!need_confirmation || infeasible_votes >= 2) {
+          diag.fallbacks_taken = static_cast<int>(diag.attempts.size()) - 1;
+          diag.message = "infeasible (confirmed by " +
+                         std::to_string(infeasible_votes) + " solver(s))";
+          FlowSolution inf;
+          inf.status = SolveStatus::kInfeasible;
+          return finish(inf);
+        }
+        break;
+      }
+      case SolveStatus::kBudgetExceeded: {
+        budget_hit = true;
+        diag.deadline_hit = diag.deadline_hit || guard.time_exceeded;
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        break;
+      }
+      case SolveStatus::kCancelled: {
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        return cancelled_verdict();
+      }
+      case SolveStatus::kMemoryExceeded: {
+        // A std::bad_alloc escaped the solver and was mapped at the
+        // solve() boundary; fall through the chain — a cheaper backend
+        // may still fit.
+        diag.memory_hit = true;
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        break;
+      }
+      case SolveStatus::kBadInstance:
+      case SolveStatus::kUncertified: {
+        // Unreachable after validate_instance, but fail loud, not wrong.
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        diag.message = "rejected by " + to_string(kind) + ": " + sol.message;
+        return finish(sol);
       }
     }
   }
@@ -644,16 +467,6 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
     out.status = SolveStatus::kMemoryExceeded;
     out.message = "memory budget exhausted across " +
                   std::to_string(diag.attempts.size()) + " attempt(s)";
-    diag.message = out.message;
-    return finish(out);
-  }
-  if (!diag.breaker_skips.empty()) {
-    // Every chain entry was skipped by an open breaker: no solver ran,
-    // so there is no answer to certify and nothing to trust.
-    FlowSolution out;
-    out.status = SolveStatus::kUncertified;
-    out.message =
-        "every solver in the chain is circuit-broken (breaker open)";
     diag.message = out.message;
     return finish(out);
   }

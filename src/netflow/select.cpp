@@ -16,9 +16,9 @@ namespace {
 /// 32k arcs even at supply 16). Simplex's candidate-list pivoting won
 /// everywhere except the large sparse negative-cost classes with small
 /// supply, where cost scaling's phase structure took over (2.2 s vs
-/// 3.5 s at 128k arcs / supply 32). SSP earns its slot only when a warm
-/// cache primes its drain path — which the allocator's inner loops hit
-/// constantly.
+/// 3.5 s at 128k arcs / supply 32). The selector therefore never picks
+/// SSP; it stays in the default fallback chain and is the machinery of
+/// the incremental warm repair (warm.hpp).
 
 /// Below this arc count the simplex's per-pivot costs are tiny and its
 /// scratch arrays stay cache-resident; nothing else was ever close on
@@ -46,7 +46,6 @@ std::string InstanceShape::summary() const {
   out += " supply_volume=" + std::to_string(supply_volume);
   out += " supply_nodes=" + std::to_string(supply_nodes);
   out += negative_costs ? " negative_costs=1" : " negative_costs=0";
-  out += warm_cache_match ? " warm_cache_match=1" : " warm_cache_match=0";
   return out;
 }
 
@@ -68,11 +67,6 @@ InstanceShape measure_shape(const Graph& g) {
 }
 
 SolverKind select_solver(const InstanceShape& shape) {
-  // A matching warm-cache entry means the resolve path (SSP's drain on
-  // repaired potentials) is primed; keep the cold fallback on the same
-  // machinery so its scratch and its equal-cost tie-breaks line up.
-  if (shape.warm_cache_match) return SolverKind::kSuccessiveShortestPaths;
-
   // Small instances: simplex constants win and nothing else matters.
   if (shape.arcs <= kSmallInstanceArcs) return SolverKind::kNetworkSimplex;
 

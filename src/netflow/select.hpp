@@ -35,17 +35,12 @@ struct InstanceShape {
   /// Nodes with nonzero supply (spread-out vs concentrated imbalance).
   NodeId supply_nodes = 0;
   bool negative_costs = false;
-  /// A warm-start cache entry matches this topology (solve_robust sets
-  /// this; the warm resolve shares SSP's drain machinery, so a warm
-  /// context biases selection toward SSP).
-  bool warm_cache_match = false;
 
   /// Compact "nodes=... arcs=..." rendering for diagnostics and logs.
   std::string summary() const;
 };
 
-/// Measures \p g. warm_cache_match is left false; callers with a cache
-/// set it themselves.
+/// Measures \p g.
 InstanceShape measure_shape(const Graph& g);
 
 /// The calibrated policy: maps a shape to a concrete backend, never

@@ -287,28 +287,4 @@ FlowSolution resolve_warm_mapped(const Graph& g, const WarmStartCache& cache,
   return sol;
 }
 
-WarmStartCache* WarmStartPool::find(std::uint64_t key) {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);  // Touch: move to front.
-  return &it->second->cache;
-}
-
-WarmStartCache* WarmStartPool::acquire(std::uint64_t key) {
-  if (WarmStartCache* hit = find(key)) return hit;
-  if (entries_.size() >= capacity_) {
-    entries_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.push_front(Entry{key, WarmStartCache{}});
-  entries_.emplace(key, lru_.begin());
-  return &lru_.front().cache;
-}
-
-void WarmStartPool::clear() {
-  lru_.clear();
-  entries_.clear();
-}
-
 }  // namespace lera::netflow

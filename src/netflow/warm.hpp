@@ -1,10 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "netflow/graph.hpp"
@@ -26,8 +23,8 @@
 /// edges, so the repair is a handful of short Dijkstra runs instead of
 /// a full solve. The result satisfies the same optimality invariant as
 /// a cold SSP solve; callers are expected to certify it regardless
-/// (solve_robust always does), so a wrong warm start fails loudly,
-/// never silently.
+/// (alloc::IncrementalAllocator always does), so a wrong warm start
+/// fails loudly, never silently.
 
 namespace lera::netflow {
 
@@ -35,10 +32,9 @@ struct SolverWorkspace;
 
 /// Why a WarmStartCache::store() call did or did not record its flow.
 /// A rejection is not an error — the cache simply stays on its previous
-/// entry — but it used to be *invisible*, which made an ineffective
-/// cache indistinguishable from a healthy one. Callers (solve_robust)
-/// now count rejections (PerfCounters::warm_store_rejects) and note the
-/// outcome in SolveDiagnostics.
+/// entry — but it is typed, so a caller can tell an ineffective cache
+/// from a healthy one (alloc::IncrementalAllocator keeps its previous
+/// baseline on anything but kStored).
 enum class WarmStoreOutcome {
   kStored,        ///< The flow and its potentials were recorded.
   kLowerBounds,   ///< Graph has lower bounds; the reduction would change
@@ -131,44 +127,5 @@ FlowSolution resolve_warm_mapped(const Graph& g, const WarmStartCache& cache,
                                  const WarmCorrespondence& map,
                                  SolveGuard* guard = nullptr,
                                  SolverWorkspace* ws = nullptr);
-
-/// Bounded keyed pool of WarmStartCaches: the single-entry cache
-/// generalised to a working set of kernels. Keyed by the caller's
-/// similarity hash (alloc::FingerprintResult::structural — instances
-/// that build the same flow topology share an entry, so cost-jittered
-/// resubmissions of one kernel warm-start each other), LRU-evicted at
-/// `capacity` entries. Not thread-safe: like a SolverWorkspace, a pool
-/// belongs to one sequential solve stream at a time (the Engine leases
-/// one per solve context).
-class WarmStartPool {
- public:
-  explicit WarmStartPool(std::size_t capacity = 8)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// The entry for \p key, created (evicting the least recently used
-  /// entry if full) when absent. The pointer stays valid until the
-  /// entry is evicted — use it for one solve, not across solves.
-  WarmStartCache* acquire(std::uint64_t key);
-
-  /// The entry for \p key or nullptr; touches LRU order on hit.
-  WarmStartCache* find(std::uint64_t key);
-
-  std::size_t size() const { return entries_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::int64_t evictions() const { return evictions_; }
-
-  void clear();
-
- private:
-  struct Entry {
-    std::uint64_t key = 0;
-    WarmStartCache cache;
-  };
-
-  std::size_t capacity_;
-  std::list<Entry> lru_;  ///< Front = most recently used.
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> entries_;
-  std::int64_t evictions_ = 0;
-};
 
 }  // namespace lera::netflow

@@ -130,11 +130,6 @@ TEST(AutoSelection, PolicyPinsOnCanonicalShapes) {
   EXPECT_EQ(select_solver(shape), SolverKind::kNetworkSimplex);
   shape.negative_costs = true;
 
-  // A matching warm cache overrides everything: stay on SSP machinery.
-  shape.warm_cache_match = true;
-  EXPECT_EQ(select_solver(shape), SolverKind::kSuccessiveShortestPaths);
-  shape.warm_cache_match = false;
-
   // The selector never returns kAuto, whatever the shape.
   for (std::int64_t arcs : {0, 10, 4096, 4097, 1000000}) {
     shape.arcs = arcs;
@@ -157,7 +152,6 @@ TEST(AutoSelection, MeasureShapeReadsTheInstance) {
   EXPECT_EQ(shape.supply_volume, 4);
   EXPECT_EQ(shape.supply_nodes, 2);
   EXPECT_TRUE(shape.negative_costs);
-  EXPECT_FALSE(shape.warm_cache_match);  // Callers opt in.
   EXPECT_NE(shape.summary().find("nodes=4"), std::string::npos);
   EXPECT_NE(shape.summary().find("supply_volume=4"), std::string::npos);
 }
@@ -222,37 +216,6 @@ TEST(AutoSelection, FixedChainsNeverAutoSelect) {
   EXPECT_TRUE(diag.auto_features.empty());
   EXPECT_EQ(diag.perf.auto_selections, 0);
   EXPECT_EQ(diag.summary().find("[auto:"), std::string::npos);
-}
-
-// A matching warm cache flips the shape's warm_cache_match bit, so a
-// kAuto chain re-solve sticks to SSP even on shapes that would
-// otherwise route elsewhere (here: small => simplex without the cache).
-TEST(AutoSelection, WarmCacheBiasesSelectionTowardSsp) {
-  const Graph g = solvable_instance(9);
-  WarmStartCache cache;
-  SolveOptions options;
-  options.chain = {SolverKind::kAuto};
-  options.warm_cache = &cache;
-
-  SolveDiagnostics first;
-  const FlowSolution cold = solve_robust(g, options, &first);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  ASSERT_TRUE(first.auto_selected);
-  EXPECT_EQ(first.auto_choice, SolverKind::kNetworkSimplex);
-  EXPECT_NE(first.auto_features.find("warm_cache_match=0"),
-            std::string::npos);
-
-  // Cache now primed for this topology: the warm resolve path answers,
-  // and the selector (consulted while expanding the chain) leans SSP.
-  SolveDiagnostics second;
-  const FlowSolution warm = solve_robust(g, options, &second);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_EQ(warm.cost, cold.cost);
-  EXPECT_TRUE(second.warm_start_attempted);
-  ASSERT_TRUE(second.auto_selected);
-  EXPECT_EQ(second.auto_choice, SolverKind::kSuccessiveShortestPaths);
-  EXPECT_NE(second.auto_features.find("warm_cache_match=1"),
-            std::string::npos);
 }
 
 // The registry is the single dispatch point: every concrete kind

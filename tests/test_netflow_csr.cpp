@@ -341,6 +341,31 @@ TEST(CsrSolver, PerfCountersAccumulateAcrossSolves) {
   EXPECT_NE(ws.counters.summary().find("augmentations="), std::string::npos);
 }
 
+TEST(CsrSolver, PerfCountersMergeSumsAndHighWaterMarks) {
+  PerfCounters a;
+  a.solves = 2;
+  a.mem_peak_bytes = 100;
+  a.cache_bytes = 7;
+  PerfCounters b;
+  b.solves = 3;
+  b.mem_peak_bytes = 40;
+  b.cache_bytes = 9;
+  a.add(b);
+  EXPECT_EQ(a.solves, 5);            // Summed.
+  EXPECT_EQ(a.mem_peak_bytes, 100);  // High-water marks merge with max.
+  EXPECT_EQ(a.cache_bytes, 9);
+  const PerfCounters d = a.delta_since(b);
+  EXPECT_EQ(d.solves, 2);
+  EXPECT_EQ(d.mem_peak_bytes, 100);  // Carried, not differenced.
+  EXPECT_EQ(d.cache_bytes, 9);
+  const std::string line = a.summary();
+  EXPECT_EQ(line.rfind("solves=5 augmentations=0 settles=0 ", 0), 0u) << line;
+  EXPECT_NE(line.find(" cache_bytes=9 "), std::string::npos) << line;
+  const std::string tail = " mem_peak_bytes=100";
+  ASSERT_GE(line.size(), tail.size());
+  EXPECT_EQ(line.substr(line.size() - tail.size()), tail) << line;
+}
+
 TEST(CsrSolver, NetworkSimplexSharesTheWorkspace) {
   SolverWorkspace ws;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
