@@ -4,10 +4,10 @@
 // random instances and on real allocation flow graphs.
 //
 // Besides the google-benchmark suites, `bench_solvers --smoke [out.json]`
-// runs a fixed CI smoke: cold-vs-workspace solver throughput, ns per
-// augmentation, and a warm-start cost-perturbation sweep, printed as
-// grep-able "LERA_METRIC bench=solvers ..." lines and optionally written
-// as JSON for artifact upload.
+// runs a fixed CI smoke: cold-vs-workspace solver throughput and flow
+// equality, ns per augmentation, and a large-instance backend family,
+// printed as grep-able "LERA_METRIC bench=solvers ..." lines and
+// optionally written as JSON for artifact upload.
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -204,59 +203,6 @@ int run_smoke(const char* json_path) {
          1.0, "pair_ms=" + std::to_string(
                   ns_between(t0, SmokeClock::now()) / 1e6)});
   }
-
-  // Warm-start cost-perturbation sweep: one 256-node base instance,
-  // 32 small cost perturbations, each solved cold and via warm resolve
-  // from the base optimum. Objectives must agree.
-  const netflow::Graph base = make_random(256, 42);
-  const netflow::FlowSolution base_sol =
-      netflow::solve(base, netflow::SolverKind::kSuccessiveShortestPaths);
-  if (!base_sol.optimal()) {
-    std::fprintf(stderr, "smoke: base instance unexpectedly not optimal\n");
-    return 1;
-  }
-  netflow::WarmStartCache cache;
-  cache.store(base, base_sol.arc_flow);
-  std::vector<netflow::Graph> sweep;
-  std::mt19937_64 rng(7);
-  std::uniform_int_distribution<netflow::Cost> dcost(-2, 2);
-  for (int k = 0; k < 32; ++k) {
-    netflow::Graph g = base;
-    for (netflow::ArcId a = 0; a < g.num_arcs(); ++a) {
-      g.set_arc_cost(a, g.arc(a).cost + dcost(rng));
-    }
-    sweep.push_back(std::move(g));
-  }
-  double sweep_cold_ns = 0;
-  double sweep_warm_ns = 0;
-  netflow::SolverWorkspace warm_ws;
-  for (int rep = 0; rep < 3; ++rep) {
-    double cold = 0;
-    double warm = 0;
-    for (const netflow::Graph& g : sweep) {
-      const auto t0 = SmokeClock::now();
-      const netflow::FlowSolution c =
-          netflow::solve(g, netflow::SolverKind::kSuccessiveShortestPaths);
-      const auto t1 = SmokeClock::now();
-      const netflow::FlowSolution w =
-          netflow::resolve_warm(g, cache, nullptr, &warm_ws);
-      const auto t2 = SmokeClock::now();
-      cold += ns_between(t0, t1);
-      warm += ns_between(t1, t2);
-      if (!c.optimal() || !w.optimal() || c.cost != w.cost) {
-        std::fprintf(stderr, "smoke: warm resolve diverged from cold\n");
-        return 1;
-      }
-    }
-    if (rep == 0 || cold < sweep_cold_ns) sweep_cold_ns = cold;
-    if (rep == 0 || warm < sweep_warm_ns) sweep_warm_ns = warm;
-  }
-  metrics.push_back(
-      {"warm_start_speedup",
-       sweep_warm_ns > 0 ? sweep_cold_ns / sweep_warm_ns : 0,
-       "cold_ms=" + std::to_string(sweep_cold_ns / 1e6) +
-           " warm_ms=" + std::to_string(sweep_warm_ns / 1e6) +
-           " sweep=" + std::to_string(sweep.size())});
 
   // Large-instance family (40k .. 330k arcs incl. feasibility chain):
   // per-backend wall times, the

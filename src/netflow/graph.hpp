@@ -77,24 +77,6 @@ class Graph {
   }
   const std::vector<Arc>& arcs() const { return arcs_; }
 
-  /// Re-prices an existing arc. Topology (and therefore the adjacency
-  /// cache and any WarmStartCache match) is untouched. The
-  /// has_negative_costs() flag only ever widens — it may stay
-  /// conservatively true after the last negative arc is re-priced
-  /// positive, which costs one potentials pass, never correctness.
-  void set_arc_cost(ArcId a, Cost cost) {
-    assert(a >= 0 && a < num_arcs());
-    arcs_[static_cast<std::size_t>(a)].cost = cost;
-    if (cost < 0) has_negative_costs_ = true;
-  }
-
-  /// Re-sizes an existing arc's capacity. Requires upper >= lower.
-  void set_arc_capacity(ArcId a, Flow upper) {
-    assert(a >= 0 && a < num_arcs());
-    assert(upper >= arcs_[static_cast<std::size_t>(a)].lower);
-    arcs_[static_cast<std::size_t>(a)].upper = upper;
-  }
-
   /// Node supply: positive = source of flow, negative = sink.
   Flow supply(NodeId v) const {
     assert(v >= 0 && v < num_nodes());

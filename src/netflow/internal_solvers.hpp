@@ -61,34 +61,4 @@ FlowSolution run_network_simplex(const Graph& g, SolveGuard* guard,
 FlowSolution run_cost_scaling(const Graph& g, SolveGuard* guard,
                               SolverWorkspace& ws);
 
-/// Drains every positive excess in \p res to a deficit node via
-/// successive shortest augmenting paths over reduced costs. Shared by
-/// run_ssp and the warm-start resolve. On entry ws.ssp.excess holds
-/// the node imbalances and ws.ssp.pi valid potentials (all residual
-/// reduced costs non-negative); ws.ssp.prepare() must have run for
-/// res.num_nodes(). Returns kOptimal once balanced, kInfeasible when an
-/// excess cannot reach a deficit, or kBudgetExceeded.
-///
-/// \p max_sinks_per_round caps how many settled deficit nodes a single
-/// Dijkstra round augments to (from one shortest-path forest, potentials
-/// stay valid throughout). 1 is the canonical early-exit-at-nearest
-/// order the differential tests pin down; the warm-start resolve passes
-/// more because its saturation repair scatters many small excesses whose
-/// deficits cluster inside one search radius. Values > 1 may legally
-/// pick a different equal-cost optimum.
-SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
-                      int max_sinks_per_round = 1);
-
-/// Thin pointer-taking wrappers around the registry entries, kept for
-/// one release for callers predating SolverBackend. A null workspace is
-/// resolved to a throwaway local arena.
-FlowSolution solve_ssp(const Graph& g, SolveGuard* guard = nullptr,
-                       SolverWorkspace* ws = nullptr);
-FlowSolution solve_cycle_canceling(const Graph& g, SolveGuard* guard = nullptr,
-                                   SolverWorkspace* ws = nullptr);
-FlowSolution solve_network_simplex(const Graph& g, SolveGuard* guard = nullptr,
-                                   SolverWorkspace* ws = nullptr);
-FlowSolution solve_cost_scaling(const Graph& g, SolveGuard* guard = nullptr,
-                                SolverWorkspace* ws = nullptr);
-
 }  // namespace lera::netflow::internal

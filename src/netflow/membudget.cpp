@@ -43,7 +43,6 @@ std::int64_t ssp_bytes(std::int64_t n, std::int64_t m) {
          n * static_cast<std::int64_t>(sizeof(Cost)) +   // pi
          n * static_cast<std::int64_t>(sizeof(Flow)) +   // excess
          2 * m * static_cast<std::int64_t>(sizeof(SspScratch::HeapEntry)) +
-         n * static_cast<std::int64_t>(sizeof(NodeId)) +  // sinks
          n * static_cast<std::int64_t>(sizeof(int)) +     // indegree
          n * static_cast<std::int64_t>(sizeof(NodeId));   // order
 }

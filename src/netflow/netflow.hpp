@@ -14,5 +14,4 @@
 #include "netflow/solution.hpp"   // IWYU pragma: export
 #include "netflow/types.hpp"      // IWYU pragma: export
 #include "netflow/validate.hpp"   // IWYU pragma: export
-#include "netflow/warm.hpp"       // IWYU pragma: export
 #include "netflow/workspace.hpp"  // IWYU pragma: export

@@ -141,11 +141,6 @@ struct SolveDiagnostics {
   /// over the attempts; 0 when no budget was configured).
   std::int64_t memory_estimated_bytes = 0;
   CertificationVerdict certification = CertificationVerdict::kNotRun;
-  /// A warm-start resolve ran / answered. Only the incremental
-  /// allocator (alloc::IncrementalAllocator) writes these: solve_robust
-  /// itself always solves cold.
-  bool warm_start_attempted = false;
-  bool warm_start_hit = false;
   /// The chain contained SolverKind::kAuto and the shape-based selector
   /// expanded it.
   bool auto_selected = false;

@@ -17,8 +17,8 @@ namespace {
 /// everywhere except the large sparse negative-cost classes with small
 /// supply, where cost scaling's phase structure took over (2.2 s vs
 /// 3.5 s at 128k arcs / supply 32). The selector therefore never picks
-/// SSP; it stays in the default fallback chain and is the machinery of
-/// the incremental warm repair (warm.hpp).
+/// SSP; it stays the allocator's default solver (AllocatorOptions) and
+/// a member of the default fallback chain.
 
 /// Below this arc count the simplex's per-pivot costs are tiny and its
 /// scratch arrays stay cache-resident; nothing else was ever close on

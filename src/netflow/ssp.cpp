@@ -166,14 +166,16 @@ bool initial_potentials(const Graph& g, SolveGuard* guard, SspScratch& s) {
   return true;
 }
 
-}  // namespace
-
-SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
-                      int max_sinks_per_round) {
+/// Drains every positive excess in \p res to a deficit node via
+/// successive shortest augmenting paths over reduced costs. On entry
+/// s.excess holds the node imbalances and s.pi valid potentials (all
+/// residual reduced costs non-negative), and s.prepare() has run for
+/// res.num_nodes(). Returns kOptimal once balanced, kInfeasible when an
+/// excess cannot reach a deficit, or kBudgetExceeded.
+SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws) {
   SspScratch& s = ws.ssp;
   PerfCounters& pc = ws.counters;
   const NodeId n = res.num_nodes();
-  assert(max_sinks_per_round >= 1);
 
   for (;;) {
     if (guard != nullptr && !guard->tick()) {
@@ -189,8 +191,8 @@ SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
     if (!any_excess) break;
 
     // Multi-source Dijkstra over reduced costs, sourced at every excess
-    // node, stopping once the nearest max_sinks_per_round deficit nodes
-    // are permanently labeled.
+    // node, stopping once the nearest deficit node is permanently
+    // labeled.
     s.new_round();
     for (NodeId v = 0; v < n; ++v) {
       if (s.excess[static_cast<std::size_t>(v)] > 0) {
@@ -204,7 +206,7 @@ SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
       }
     }
 
-    s.sinks.clear();
+    NodeId sink = kInvalidNode;
     Cost dt = 0;  // Distance of the last node settled this round.
     while (!s.heap.empty()) {
       const HeapEntry top = heap_pop_min(s);
@@ -218,10 +220,8 @@ SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
       ++pc.dijkstra_settles;
       dt = nu.dist;
       if (s.excess[static_cast<std::size_t>(u)] < 0) {
-        s.sinks.push_back(u);
-        if (static_cast<int>(s.sinks.size()) >= max_sinks_per_round) break;
-        // Fall through: a shortest path may run *through* this deficit,
-        // so its edges must relax or later settles would be mislabeled.
+        sink = u;
+        break;
       }
       const Cost du = nu.dist;
       const Cost pu = s.pi[static_cast<std::size_t>(u)];
@@ -250,7 +250,7 @@ SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
       }
     }
 
-    if (s.sinks.empty()) {
+    if (sink == kInvalidNode) {
       return SolveStatus::kInfeasible;  // Excess cannot reach a deficit.
     }
 
@@ -264,41 +264,35 @@ SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
           nv.round == s.current_round ? std::min(nv.dist, dt) : dt;
     }
 
-    // Drain each settled deficit from the shortest-path forest, in
-    // settle order — at most one augmentation per sink, since the
-    // parent path is fixed for the round and augmenting it zeroes one of
-    // its limits. After the update every forest edge is tight (zero
-    // reduced cost) and stays tight as flow moves, so each augmentation
-    // is along a shortest path; a segment saturated (or a source
-    // drained) by an earlier augmentation simply skips that sink. The
-    // first sink always absorbs at least one unit, so every round
-    // progresses.
-    for (const NodeId sink : s.sinks) {
-      Flow delta = -s.excess[static_cast<std::size_t>(sink)];
-      if (delta <= 0) continue;
-      NodeId v = sink;
-      while (s.node[static_cast<std::size_t>(v)].parent_edge >= 0) {
-        const int e = s.node[static_cast<std::size_t>(v)].parent_edge;
-        delta = std::min(delta, res.edge(e).cap);
-        v = res.tail(e);
-      }
-      delta = std::min(delta, s.excess[static_cast<std::size_t>(v)]);
-      if (delta <= 0) continue;
-
-      s.excess[static_cast<std::size_t>(v)] -= delta;
-      s.excess[static_cast<std::size_t>(sink)] += delta;
-      v = sink;
-      while (s.node[static_cast<std::size_t>(v)].parent_edge >= 0) {
-        const int e = s.node[static_cast<std::size_t>(v)].parent_edge;
-        res.push(e, delta);
-        v = res.tail(e);
-      }
-      ++pc.augmentations;
+    // Augment along the shortest path to the sink by the bottleneck of
+    // the sink's deficit, the path's residual capacities and the
+    // source's excess. Every term is positive, so each round moves at
+    // least one unit.
+    Flow delta = -s.excess[static_cast<std::size_t>(sink)];
+    NodeId v = sink;
+    while (s.node[static_cast<std::size_t>(v)].parent_edge >= 0) {
+      const int e = s.node[static_cast<std::size_t>(v)].parent_edge;
+      delta = std::min(delta, res.edge(e).cap);
+      v = res.tail(e);
     }
+    delta = std::min(delta, s.excess[static_cast<std::size_t>(v)]);
+    assert(delta > 0);
+
+    s.excess[static_cast<std::size_t>(v)] -= delta;
+    s.excess[static_cast<std::size_t>(sink)] += delta;
+    v = sink;
+    while (s.node[static_cast<std::size_t>(v)].parent_edge >= 0) {
+      const int e = s.node[static_cast<std::size_t>(v)].parent_edge;
+      res.push(e, delta);
+      v = res.tail(e);
+    }
+    ++pc.augmentations;
   }
 
   return SolveStatus::kOptimal;
 }
+
+}  // namespace
 
 FlowSolution run_ssp(const Graph& g, SolveGuard* guard, SolverWorkspace& w) {
   if (g.total_supply() != 0) return {};

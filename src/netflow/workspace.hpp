@@ -14,10 +14,9 @@
 /// A SolverWorkspace owns every allocation the hot solve path needs —
 /// the residual network, the SSP distance/potential/parent arrays and
 /// Dijkstra heap, and the network-simplex tree scratch — so a caller
-/// that solves many instances (Engine batch loops, explore sweeps,
-/// warm-start resolves) pays for vector growth once instead of per
-/// solve. Passing a workspace never changes results, only allocation
-/// behavior.
+/// that solves many instances (Engine batch loops, explore sweeps)
+/// pays for vector growth once instead of per solve. Passing a
+/// workspace never changes results, only allocation behavior.
 ///
 /// Ownership rules: a workspace may be reused across any number of
 /// sequential solves but must never be shared by two solves running
@@ -164,9 +163,6 @@ struct SspScratch {
     NodeId node;
   };
   std::vector<HeapEntry> heap;
-  /// Deficit nodes settled by the current Dijkstra round, in settle
-  /// order; the drain augments to each of them from one forest.
-  std::vector<NodeId> sinks;
   std::uint32_t current_round = 0;
   // initial_potentials() scratch.
   std::vector<int> indegree;
@@ -186,8 +182,7 @@ struct SspScratch {
   std::int64_t footprint_bytes() const {
     return detail::vec_bytes(node) + detail::vec_bytes(pi) +
            detail::vec_bytes(excess) + detail::vec_bytes(heap) +
-           detail::vec_bytes(sinks) + detail::vec_bytes(indegree) +
-           detail::vec_bytes(order);
+           detail::vec_bytes(indegree) + detail::vec_bytes(order);
   }
 
   /// Starts a fresh Dijkstra round, invalidating all stamped entries.

@@ -17,23 +17,15 @@
 namespace lera::workloads {
 namespace {
 
-std::string read_file(const std::string& path) {
+/// Reads data/<name> from the source tree; LERA_DATA_DIR is the absolute
+/// data directory (tests/CMakeLists.txt), so any build directory works.
+std::string corpus(const std::string& name) {
+  const std::string path = std::string(LERA_DATA_DIR) + name;
   std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing corpus file " << path
-                         << " (run tests from the repo root's build dir)";
+  EXPECT_TRUE(in.good()) << "missing corpus file " << path;
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-std::string corpus(const std::string& name) {
-  // CTest runs with CWD = build/tests; the corpus sits at the repo root.
-  for (const char* prefix : {"../../data/", "../data/", "data/"}) {
-    std::ifstream probe(prefix + name);
-    if (probe.good()) return read_file(prefix + name);
-  }
-  ADD_FAILURE() << "cannot locate data/" << name;
-  return {};
 }
 
 TEST(Corpus, AllInstancesParseAndAllocate) {
